@@ -3,15 +3,16 @@
 This example builds a three-table supply chain, then shows how the same
 QUEL query's plan evolves:
 
-* the **pre-statistics plan** (``cost_based=False``): joins in the order
-  the ranges were declared, residual qualification evaluated last;
 * the **cost-ordered plan**: the optimizer starts from the selective
   range and walks the join chain outward, annotating every step with its
   estimated and measured row counts (``est=…, rows=…`` — compare them to
   audit the cost model);
-* the plan **after** ``create_index`` + ``analyze()``: the join against
-  the indexed table becomes an index-nested-loop probe of the live
-  :class:`~repro.storage.index.HashIndex` — no per-query bucket rebuild.
+* the plan **after** ``create_index`` + ``analyze()``, with index reuse
+  switched off (``use_indexes=False``: a hash join re-buckets the big
+  table) and on (the default: the join against the indexed table
+  becomes an index-nested-loop probe of the live
+  :class:`~repro.storage.index.HashIndex` — no per-query bucket
+  rebuild).
 
 Then two Optimizer v2 features:
 
@@ -117,9 +118,6 @@ def main() -> None:
     print(QUERY)
     print()
 
-    show("pre-statistics planner (declaration order, residual last)",
-         Plan(query, db, cost_based=False))
-
     show("cost-based optimizer (selective range first, est= vs rows=)",
          Plan(query, db))
 
@@ -130,6 +128,8 @@ def main() -> None:
     # same query again.
     db.table("PARTS").create_index(["P#"], name="parts_p")
     db.analyze()
+    show("after create_index + analyze(), use_indexes=False: hash join",
+         Plan(query, db, use_indexes=False))
     show("after create_index + analyze(): index-nested-loop probe",
          Plan(query, db))
 

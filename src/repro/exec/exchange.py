@@ -7,9 +7,10 @@ executor's block streams and to the paper's information ordering:
 * :class:`PlanFragment` is a **picklable recipe** for one partition's
   operator subtree.  Physical operators themselves close over lambdas
   (predicates, rename transforms) and cannot cross a process boundary,
-  so the coordinator ships the *logical* steps — plain tuples over the
-  picklable core predicate AST — and each worker rebuilds the real
-  operator tree with :meth:`PlanFragment.build`.
+  so the coordinator ships the planner's *logical* ops — plain data over
+  the picklable core predicate AST, live indexes stripped — and each
+  worker builds the real operator tree with the serial compiler's own
+  :func:`repro.quel.planner.build_operator_tree`.
 * :func:`execute_fragment` is the worker entry point: build, drain,
   **locally reduce** the shard to minimal form (Definition 4.6), return
   the reduced rows plus per-step actuals.  Workers are shared-nothing:
@@ -44,11 +45,11 @@ reduce reconciles.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.engine.dominance import bulk_reduce, merge_reduced
 from ..core.tuples import XTuple
-from .operators import BLOCK_SIZE, Block, PhysicalOperator
+from .operators import Block, PhysicalOperator, TableScan
 
 __all__ = [
     "Exchange",
@@ -85,178 +86,19 @@ def partition_rows_by_key(
     return shards
 
 
-class PlanFragment:
+class PlanFragment(NamedTuple):
     """One partition's plan, as picklable data.
 
-    *steps* mirrors the planner's logical ops one-for-one (including
-    no-op ``rename`` entries, so per-step actuals align by index with
-    the coordinator's trace):
-
-    * ``("rename", variable)`` — no node (renaming is fused into joins);
-    * ``("source", variable)`` — the range's rows were resolved at the
-      coordinator (an index-selected bucket); the scan node serves them;
-    * ``("select", variable, attribute, op, constant)`` — pushed
-      constant selection over the unrenamed base rows;
-    * ``("select-var", variable, conjunct)`` — pushed single-variable
-      residual conjunct (a picklable core predicate);
-    * ``("join", variable, pairs, residual)`` — composite-key hash join
-      (always a hash join: workers hold no live indexes), with the
-      optionally fused residual conjunct checked on each (probe, build)
-      pair before the joined tuple is built;
-    * ``("product", variable)`` — Cartesian product;
-    * ``("residual", conjunct)`` — in-flight residual selection over the
-      combined stream;
-    * ``("project", targets)`` — final projection.
-
-    ``build`` reconstructs the physical subtree against a *sources*
-    mapping (variable → this partition's rows) and returns the root
-    plus the per-step node list (``None`` for no-op steps).
+    *ops* are the planner's logical ops with every live index stripped
+    (an index-selected range reads its coordinator-resolved bucket from
+    the partition's sources; joins hash-join), *mappings* each range's
+    rename mapping in declaration order, and *start* the range the
+    combination begins from.
     """
 
-    __slots__ = ("steps", "mappings", "start", "variables")
-
-    def __init__(
-        self,
-        steps: Sequence[Tuple],
-        mappings: Dict[str, Dict[str, str]],
-        start: str,
-        variables: Sequence[str],
-    ):
-        self.steps = tuple(steps)
-        self.mappings = mappings
-        self.start = start
-        self.variables = tuple(variables)
-
-    def __getstate__(self):
-        return (self.steps, self.mappings, self.start, self.variables)
-
-    def __setstate__(self, state):
-        self.steps, self.mappings, self.start, self.variables = state
-
-    def build(
-        self, sources: Dict[str, Sequence[XTuple]], block_size: int
-    ) -> Tuple[PhysicalOperator, List[Optional[PhysicalOperator]]]:
-        # Deferred imports: the planner imports this module, so the
-        # reverse import must happen at build time, not module load.
-        from ..core import algebra
-        from ..quel.planner import (
-            _pair_predicate,
-            _residual_predicate,
-            _single_variable_predicate,
-        )
-        from .operators import (
-            Filter,
-            HashJoin,
-            Product,
-            Project,
-            Rename,
-            TableScan,
-        )
-
-        chains: Dict[str, Optional[PhysicalOperator]] = {
-            v: None for v in self.variables
-        }
-
-        def scan(variable: str) -> PhysicalOperator:
-            node = chains[variable]
-            if node is None:
-                node = TableScan(
-                    sources.get(variable, ()),
-                    label=f"Scan {variable}",
-                    block_size=block_size,
-                )
-                chains[variable] = node
-            return node
-
-        def transform_for(variable: str):
-            mapping = self.mappings[variable]
-            return lambda row, _mapping=mapping: row.rename(_mapping)
-
-        combined: Optional[PhysicalOperator] = None
-
-        def combined_node() -> PhysicalOperator:
-            nonlocal combined
-            if combined is None:
-                start = self.start
-                combined = Rename(
-                    scan(start), self.mappings[start],
-                    label=f"Rename {start}.*", block_size=block_size,
-                )
-            return combined
-
-        nodes: List[Optional[PhysicalOperator]] = []
-        for step in self.steps:
-            kind = step[0]
-            if kind == "rename":
-                nodes.append(None)
-            elif kind == "source":
-                nodes.append(scan(step[1]))
-            elif kind == "select":
-                _, variable, attribute, op, constant = step
-                node = Filter(
-                    scan(variable),
-                    algebra.constant_predicate(attribute, op, constant),
-                    label=f"Filter {variable}.{attribute} {op} {constant!r}",
-                    block_size=block_size,
-                )
-                chains[variable] = node
-                nodes.append(node)
-            elif kind == "select-var":
-                _, variable, conjunct = step
-                node = Filter(
-                    scan(variable),
-                    _single_variable_predicate(conjunct, variable),
-                    label=f"Filter {conjunct!r} ({variable})",
-                    block_size=block_size,
-                )
-                chains[variable] = node
-                nodes.append(node)
-            elif kind == "join":
-                _, variable, pairs, residual = step
-                build_attrs = [new.attribute for _, new in pairs]
-                probe_attrs = [
-                    f"{old.variable}.{old.attribute}" for old, _ in pairs
-                ]
-                node = HashJoin(
-                    combined_node(), scan(variable), build_attrs, probe_attrs,
-                    transform_for(variable),
-                    residual=(
-                        _pair_predicate(residual, variable)
-                        if residual is not None else None
-                    ),
-                    label=f"HashJoin with {variable}",
-                    block_size=block_size,
-                )
-                combined = node
-                nodes.append(node)
-            elif kind == "product":
-                _, variable = step
-                node = Product(
-                    combined_node(), scan(variable), transform_for(variable),
-                    label=f"Product with {variable}", block_size=block_size,
-                )
-                combined = node
-                nodes.append(node)
-            elif kind == "residual":
-                _, conjunct = step
-                node = Filter(
-                    combined_node(),
-                    _residual_predicate(conjunct, list(self.variables)),
-                    label=f"Filter {conjunct!r}", block_size=block_size,
-                )
-                combined = node
-                nodes.append(node)
-            elif kind == "project":
-                _, targets = step
-                node = Project(
-                    combined_node(), targets, label="Project",
-                    block_size=block_size,
-                )
-                combined = node
-                nodes.append(node)
-            else:
-                raise ValueError(f"unknown fragment step kind {kind!r}")
-        return combined_node(), nodes
+    ops: Tuple[Any, ...]
+    mappings: Dict[str, Dict[str, str]]
+    start: str
 
 
 def execute_fragment(payload) -> Tuple[int, List[XTuple], Dict[str, Any]]:
@@ -267,11 +109,23 @@ def execute_fragment(payload) -> Tuple[int, List[XTuple], Dict[str, Any]]:
     reduction — the Merge side of the exchange only has to reconcile
     across shards), and a stats mapping: ``raw_rows`` (pre-reduction
     output), ``rows_out``, ``seconds`` and the per-step ``step_rows``
-    aligned with the fragment's step list (``None`` for no-op steps).
+    aligned with the fragment's ops (``None`` for no-op steps).
     """
+    # Deferred: the planner imports this module.
+    from ..quel.planner import build_operator_tree
+
     index, fragment, sources, block_size = payload
     begin = perf_counter()
-    root, nodes = fragment.build(sources, block_size)
+
+    def leaf(variable: str) -> PhysicalOperator:
+        return TableScan(
+            sources.get(variable, ()), label=f"Scan {variable}",
+            block_size=block_size,
+        )
+
+    root, nodes = build_operator_tree(
+        fragment.ops, fragment.mappings, fragment.start, leaf, block_size
+    )
     staged: List[XTuple] = []
     for block in root.blocks():
         staged.extend(block)

@@ -18,12 +18,12 @@ building an intermediate :class:`~repro.core.xrelation.XRelation`; the
 blocking ones (:class:`Reduce`, :class:`Materialize`, the build sides of
 the joins) drain their input first, exactly where a pipeline breaker is
 semantically required.  Row-level semantics are shared with the
-materializing path through the kernels in :mod:`repro.core.algebra`
+whole-relation algebra through the kernels in :mod:`repro.core.algebra`
 (``select_constant_rows`` / ``select_predicate_rows`` / ``rename_rows``)
 and :mod:`repro.core.engine.joins` (``build_join_buckets`` /
-``probe_join_block``), so the streaming and the materializing executor
-cannot drift apart on null handling — and the differential harness in
-``tests/test_differential_planner.py`` pins it.
+``probe_join_block``), so the two cannot drift apart on null handling —
+and the differential harness in ``tests/test_differential_planner.py``
+pins every compiled tree against the Section 5 tuple oracle.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ class TableScan(PhysicalOperator):
     mutation between execution and iteration can neither crash the drain
     mid-set nor leak post-statement rows into the answer.  Null tuples
     (rows binding nothing) are information-free and skipped, mirroring
-    the reduction the materializing path applies when it first wraps a
-    range.
+    the reduction to minimal form (Definition 4.6) drops them.
     """
 
     def __init__(self, rows: Iterable[XTuple], **kwargs: Any):
@@ -236,7 +235,7 @@ class Project(PhysicalOperator):
     it reads.  Exact duplicate output rows are suppressed with a running
     seen-set (a set probe per row — the streaming analogue of projecting
     into a set), so the operator's ``actual_rows`` matches the
-    materializing path's projected row count on duplicate-heavy inputs;
+    projected relation's row count on duplicate-heavy inputs;
     *dominated* rows are left for the final materialisation
     (:meth:`Pipeline.run <repro.exec.pipeline.Pipeline.run>`, or a
     :class:`Reduce`/:class:`Materialize` sink on a hand-built tree),
@@ -332,8 +331,9 @@ class IndexNLJoin(PhysicalOperator):
     streaming form of :func:`repro.core.engine.joins.index_probe_join_rows`.
     Probing the *live* index is the point of the operator: a pipeline
     left undrained across table mutations reads the index as it stands
-    at each pull (drain promptly, or use the materializing path, when
-    statement-time semantics must extend across later mutations).
+    at each pull (drain promptly when statement-time semantics must
+    extend across later mutations; the pipeline's staleness guard raises
+    otherwise).
     """
 
     def __init__(

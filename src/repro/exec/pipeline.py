@@ -16,10 +16,9 @@ their rows.  It supports two consumption styles:
   :class:`XRelation`.  Partial lazy consumption is resumed, never
   repeated: the pipeline owns the single block iterator.
 
-:class:`TraceStep` is also the shared rendering unit for the *logical*
-step trace — the materializing executor and the pre-statistics syntactic
-planner render their ``Plan.steps`` through the same class, so the
-``[est=…, rows=…]`` annotations come from one format path everywhere.
+:class:`TraceStep` is the rendering unit for the *logical* step trace —
+serial and parallel pipelines render their ``Plan.steps`` through it, so
+the ``[est=…, rows=…]`` annotations come from one format path.
 """
 
 from __future__ import annotations
@@ -73,14 +72,15 @@ class StalenessGuard:
 
 
 class TraceStep:
-    """One logical plan step, rendered uniformly across executors.
+    """One logical plan step, rendered uniformly for serial and parallel
+    pipelines.
 
     ``text`` is the step description (``"hash equi-join with d on …"``);
-    ``est`` the optimizer's estimate (``None`` on the syntactic path,
-    which never shows estimates); the measured row count comes either
-    from ``fixed_rows`` (the materializing executor records it at step
-    time) or live from ``node.actual_rows`` (the streaming executor's
-    physical operator).  ``show_est`` lets the projection step keep its
+    ``est`` the optimizer's estimate (``None`` for steps that show none);
+    the measured row count comes either live from ``node.actual_rows``
+    (the serial tree's physical operator) or from ``fixed_rows`` (a
+    parallel step, filled in with the per-worker totals by the
+    :class:`~repro.exec.Exchange` audit after the drain).  ``show_est`` lets the projection step keep its
     historical ``[rows=…]``-only annotation.  ``table`` optionally names
     the stored table a selection step's estimate was derived from — the
     adaptive-feedback loop folds that step's actual/estimated ratio back

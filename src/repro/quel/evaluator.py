@@ -8,8 +8,7 @@ remain selectable for the differential oracles:
 
 * ``"plan"`` / ``"algebra"`` (default) — the calculus-to-algebra
   translation of :mod:`repro.quel.planner`, cost-ordered with index
-  reuse, executed through the streaming :mod:`repro.exec` operator tree
-  (``Plan(..., streaming=False)`` keeps the materializing baseline);
+  reuse, executed through the streaming :mod:`repro.exec` operator tree;
 * ``"tuple"`` — the direct tuple-at-a-time evaluation of Section 5
   (:func:`repro.core.query.evaluate_lower_bound`), kept as the
   definitional oracle.

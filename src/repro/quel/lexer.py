@@ -3,7 +3,9 @@
 Handles the lexical oddities needed to accept the paper's queries as
 written: identifiers containing ``#``, double- and single-quoted string
 literals, the symbolic logical connectives ``∧``/``∨``/``¬`` (the journal
-typesets Figure 1 with ``∧``/``∨``), integer and decimal numbers, and the
+typesets Figure 1 with ``∧``/``∨``), integer and decimal numbers (a
+``-`` directly before a digit, or before ``.digit``, makes the literal
+negative), and the
 comparison operators ``=``, ``!=``, ``<>``, ``≠``, ``<``, ``<=``, ``>``,
 ``>=``.  Comments run from ``--`` or ``/*...*/``.  ``$name`` lexes as a
 parameter placeholder (prepared-statement binding site).
@@ -154,6 +156,13 @@ class Lexer:
 
         if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
             return self._number(line, column)
+        if ch == "-" and (
+            self._peek(1).isdigit()
+            or (self._peek(1) == "." and self._peek(2).isdigit())
+        ):
+            self._advance()
+            number = self._number(line, column)
+            return number._replace(value=-number.value)
 
         if _is_identifier_start(ch):
             return self._identifier(line, column)

@@ -3,61 +3,49 @@
 Section 8 of the paper stresses that the generalised model keeps "the
 well-known correspondence between the relational calculus and the
 relational algebra", which is what makes query evaluation efficient.  The
-planner makes that correspondence concrete — and, since the statistics
-PR, *chooses between* the equivalent algebraic strategies with a
-System-R-style cost model (:mod:`repro.stats`).  Since the streaming
-executor PR, planning and execution are fully decoupled:
+planner makes that correspondence concrete — and *chooses between* the
+equivalent algebraic strategies with a System-R-style cost model
+(:mod:`repro.stats`).  Planning and execution are decoupled:
 
 1. **Planning** (:meth:`Plan.logical_plan`) is a pure phase driven by
    estimates only — rename ranges (lazily), push single-variable
    selections (persistent-index equality probes first), enumerate joins
-   in greedy cost order (estimated-smallest range first, then the linked
-   range with the smallest estimated join output; all equality conjuncts
-   linking the next range fused into one composite key; an
-   index-nested-loop join when the next range is an unfiltered stored
-   table carrying a :class:`~repro.storage.index.HashIndex` on exactly
-   the fused key; Cartesian products, smallest first, last), push
-   residual conjuncts through the joins (applied as soon as their ranges
-   are combined), project onto the target list.  No rows are touched.
-2. **Execution** interprets the same logical plan one of two ways:
-
-   * :meth:`Plan.compile` — the default, *streaming* executor: the plan
-     compiles into a tree of :mod:`repro.exec` physical operators pulling
-     fixed-size tuple blocks; non-blocking operators stream rows through
-     without constructing any intermediate
-     :class:`~repro.core.xrelation.XRelation`, and every node records
-     actual rows and wall time for ``explain(analyze=True)``.
-   * ``Plan(query, …, streaming=False)`` — the *materializing* executor:
-     every step builds a full intermediate ``XRelation`` (the pre-exec
-     behaviour, step for step).  It is the differential baseline the
-     streaming path is pinned against, and what benchmark E17 measures
-     the streaming win over.
+   in cost order (Selinger-style DP over connected subgraphs, or greedy:
+   estimated-smallest range first, then the linked range with the
+   smallest estimated join output; all equality conjuncts linking the
+   next range fused into one composite key; an index-nested-loop join
+   when the next range is an unfiltered stored table carrying a
+   :class:`~repro.storage.index.HashIndex` on exactly the fused key;
+   Cartesian products, smallest first, last), push residual conjuncts
+   through the joins (applied as soon as their ranges are combined),
+   project onto the target list.  No rows are touched.
+2. **Compilation** (:meth:`Plan.compile`) turns the logical plan into a
+   tree of :mod:`repro.exec` physical operators pulling fixed-size tuple
+   blocks; non-blocking operators stream rows through without
+   constructing any intermediate :class:`~repro.core.xrelation.XRelation`,
+   and every node records actual rows and wall time for
+   ``explain(analyze=True)``.  One function,
+   :func:`build_operator_tree`, builds every tree — the serial pipeline
+   and each parallel fragment a worker runs.
 
 Every executed step is annotated with the optimizer's estimated and the
 measured row count (``est=…, rows=…``), so ``Plan.explain()`` doubles as
-a cost-model audit; both executors (and the pre-statistics syntactic
-planner) render their traces through the shared
-:class:`~repro.exec.pipeline.TraceStep`, so there is exactly one format
-path.  ``Plan(query, cost_based=False)`` reproduces the PR 2 planner
-(syntactic join order, residual evaluated last, no index reuse) — the
-benchmarks use it as their baseline, the differential tests run every
-mode against the Section 5 oracle.
+a cost-model audit.
 
 The planner handles every query the front end accepts; the optimisation
 changes strategy only, and the produced result is always information-wise
 equal to the tuple-at-a-time evaluation of
-:func:`repro.core.query.evaluate_lower_bound` (asserted by the
-differential harness in ``tests/test_differential_planner.py``).
+:func:`repro.core.query.evaluate_lower_bound` — the one definitional
+oracle, asserted by the differential harness in
+``tests/test_differential_planner.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core import algebra
 from ..core.engine.dominance import partition_rows_by_signature
-from ..core.engine.joins import build_join_buckets, index_probe_join_rows
-from ..core.nulls import is_ni
 from ..core.query import And, AttributeRef, Comparison, Constant, Predicate, Query
 from ..core.relation import Relation
 from ..core.threevalued import compare
@@ -91,22 +79,10 @@ DP_JOIN_THRESHOLD = 10
 
 
 class _RangeContext:
-    """Per-range state: statistics and estimates for planning, lazily
-    renamed/filtered rows for the materializing executor.
+    """Per-range planning state: the range's statistics and the
+    optimizer's running cardinality estimate (no rows are touched)."""
 
-    Renaming a range costs one new tuple per row plus a reduction to
-    minimal form, so the context defers it as long as possible: pushed
-    selections filter the *unrenamed* base rows, hash joins can bucket
-    the unrenamed rows and rename only the matched ones, and an
-    index-nested-loop join never materialises the range at all.  The
-    planning phase reads only ``est`` / ``stats()`` / ``table`` (no rows
-    are touched); the row-state methods serve the materializing executor.
-    """
-
-    __slots__ = (
-        "variable", "relation", "table", "filtered", "est",
-        "_renamed", "_filtered_base", "_stats",
-    )
+    __slots__ = ("variable", "relation", "table", "filtered", "est", "_stats")
 
     def __init__(self, variable: str, relation: Relation, table) -> None:
         self.variable = variable
@@ -115,74 +91,11 @@ class _RangeContext:
         self.filtered = False
         #: The optimizer's running cardinality estimate for this range.
         self.est: float = float(len(relation))
-        self._renamed: Optional[XRelation] = None
-        #: Pushed-selection result over the *unrenamed* base rows.
-        self._filtered_base: Optional[XRelation] = None
         self._stats: Optional[TableStatistics] = None
 
     @property
     def mapping(self) -> Dict[str, str]:
         return {a: f"{self.variable}.{a}" for a in self.relation.schema.attributes}
-
-    def _base(self) -> Union[Relation, XRelation]:
-        return self._filtered_base if self._filtered_base is not None else self.relation
-
-    def materialized(self) -> XRelation:
-        if self._renamed is None:
-            self._renamed = algebra.rename(self._base(), self.mapping)
-        return self._renamed
-
-    def unrenamed_rows(self):
-        """The current (possibly filtered) rows under their bare attributes."""
-        base = self._base()
-        return base.rows() if isinstance(base, XRelation) else base.tuples()
-
-    def push_constant(self, conjunct: Comparison) -> None:
-        """Apply a pushable constant comparison on the unrenamed base —
-        selection commutes with renaming, and filtering first makes any
-        later rename cheaper."""
-        attribute, op, constant = _constant_parts(conjunct)
-        if is_ni(constant):
-            # A comparison against a null constant evaluates to ni for
-            # every row — never TRUE — so the selection keeps nothing.
-            # (The tuple-at-a-time oracle agrees; ``select_constant``
-            # itself refuses null constants, so bypass it.)
-            self.set_base_rows(())
-            return
-        self._filtered_base = algebra.select_constant(self._base(), attribute, op, constant)
-        self._renamed = None
-        self.filtered = True
-
-    def set_base_rows(self, rows) -> None:
-        """Replace the unrenamed base with an explicit row set — the
-        index-backed selection path, where a persistent hash index
-        already produced exactly the rows satisfying the pushed equality
-        conjuncts (rows null on a probed attribute are rightly absent:
-        an equality touching ``ni`` is never TRUE)."""
-        base = Relation(self.relation.schema, validate=False)
-        base._rows = set(rows)
-        self._filtered_base = XRelation(base)
-        self._renamed = None
-        self.filtered = True
-
-    def push_predicate(self, conjunct: Predicate) -> None:
-        """Apply a single-variable residual conjunct, likewise pre-rename."""
-        variable = self.variable
-
-        def row_predicate(row: XTuple, _c=conjunct, _v=variable):
-            return _c.evaluate({_v: row})
-
-        self._filtered_base = algebra.select_predicate(self._base(), row_predicate)
-        self._renamed = None
-        self.filtered = True
-
-    @property
-    def cardinality(self) -> int:
-        if self._renamed is not None:
-            return len(self._renamed)
-        if self._filtered_base is not None:
-            return len(self._filtered_base)
-        return len(self.relation)
 
     def stats(self) -> TableStatistics:
         """The base statistics: the table's live counters when this range
@@ -211,11 +124,15 @@ class _RangeContext:
 
 
 # ---------------------------------------------------------------------------
-# Logical plan operations — what planning produces, what both executors run
+# Logical plan operations — what planning produces, what the compiler runs
 # ---------------------------------------------------------------------------
 
 class _LogicalOp:
-    """One step of the logical plan (kind + everything both executors need)."""
+    """One step of the logical plan (kind + everything the compiler needs).
+
+    Plain picklable data apart from ``index`` (a live
+    :class:`~repro.storage.index.HashIndex`), which the parallel
+    compiler strips with :meth:`without_index` before shipping."""
 
     __slots__ = (
         "kind", "variable", "conjunct", "attribute", "op", "constant",
@@ -233,6 +150,16 @@ class _LogicalOp:
     def __repr__(self) -> str:
         return f"_LogicalOp({self.kind!r}, variable={self.variable!r})"
 
+    def without_index(self) -> "_LogicalOp":
+        """This op with no live index — the worker-side form: an
+        index-selected range reads its coordinator-resolved bucket from
+        the fragment's sources, and a join runs as a hash join."""
+        copy = _LogicalOp(
+            self.kind, **{slot: getattr(self, slot) for slot in self.__slots__[1:]}
+        )
+        copy.index = None
+        return copy
+
 
 class Plan:
     """An executable query plan with a readable, cost-annotated trace.
@@ -247,22 +174,11 @@ class Plan:
         planner reaches each range's live :class:`TableStatistics` and
         persistent indexes through it; with ``None`` (or a plain mapping)
         per-range statistics are computed on the fly.
-    cost_based:
-        ``True`` (default) enables cost-ordered joins, selection
-        push-through and index reuse; ``False`` reproduces the PR 2
-        planner exactly (syntactic join order, residual last).
     use_indexes:
         Whether an unfiltered table range may be joined by probing a
         persistent index covering the fused join key.
     cost_model:
         The :class:`~repro.stats.CostModel` used for the estimates.
-    streaming:
-        ``True`` (default): :meth:`execute` compiles the logical plan to
-        a :mod:`repro.exec` operator tree and drains it — no intermediate
-        ``XRelation`` is ever built.  ``False``: every step materialises
-        a full intermediate (the pre-exec behaviour), kept as the
-        differential/benchmark baseline.  Both run the *same* logical
-        plan, so their step traces are directly comparable.
     block_size:
         Tuples per exchanged block on the streaming path.
     parallelism:
@@ -295,10 +211,8 @@ class Plan:
         query: Query,
         database=None,
         *,
-        cost_based: bool = True,
         use_indexes: bool = True,
         cost_model: Optional[CostModel] = None,
-        streaming: bool = True,
         block_size: int = BLOCK_SIZE,
         parallelism: Optional[Union[int, str]] = None,
         parallel_mode: str = "process",
@@ -306,10 +220,8 @@ class Plan:
     ):
         self.query = query
         self.database = database
-        self.cost_based = cost_based
         self.use_indexes = use_indexes
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
-        self.streaming = streaming
         self.block_size = block_size
         self.parallelism = parallelism
         self.parallel_mode = parallel_mode
@@ -348,11 +260,7 @@ class Plan:
 
     # -- execution -----------------------------------------------------------
     def execute(self) -> XRelation:
-        """Plan, execute and return the answer x-relation."""
-        if not self.cost_based:
-            return self._execute_syntactic()
-        if not self.streaming:
-            return self._execute_materializing()
+        """Plan, compile, drain and return the answer x-relation."""
         pipeline = self.compile()
         answer = pipeline.run()
         self.steps = pipeline.step_lines()
@@ -730,18 +638,9 @@ class Plan:
             for output, ref in self.query.target
         ]
 
-    # -- shared step texts ----------------------------------------------------
-    @staticmethod
-    def _join_on_text(pairs: Sequence[Tuple[AttributeRef, AttributeRef]]) -> str:
-        described = [
-            f"{old.variable}.{old.attribute} = {new.variable}.{new.attribute}"
-            for old, new in pairs
-        ]
-        return described[0] if len(described) == 1 else "[" + ", ".join(described) + "]"
-
+    # -- step texts -----------------------------------------------------------
     def _step_text(self, op: _LogicalOp) -> str:
-        """The logical step line (sans annotations) — one format path for
-        the materializing and the streaming executor."""
+        """The logical step line (sans annotations)."""
         if op.kind == "rename":
             return f"rename {op.described} as {op.variable}(…)"
         if op.kind == "index-select":
@@ -751,7 +650,7 @@ class Plan:
         if op.kind == "select-var-residual":
             return f"select residual {op.conjunct!r} on {op.variable}"
         if op.kind == "join":
-            on = self._join_on_text(op.pairs)
+            on = _join_on_text(op.pairs)
             fused = (
                 f" with fused residual {op.residual!r}"
                 if op.residual is not None else ""
@@ -795,8 +694,6 @@ class Plan:
         resolved from ``"auto"`` — returns the plain serial tree, so a
         ``parallelism=1`` run is the serial run, block for block).
         """
-        if not self.cost_based:
-            raise ValueError("streaming compilation requires the cost-based planner")
         resolved = self._resolve_parallelism(parallelism)
         if resolved <= 1:
             pipeline = self._compile_serial()
@@ -870,154 +767,68 @@ class Plan:
             raise ValueError(f"parallelism must be >= 1, got {count}")
         return count
 
+    def _trace_steps(
+        self,
+        ops: Sequence[_LogicalOp],
+        nodes: Optional[Sequence[Optional[PhysicalOperator]]] = None,
+    ) -> List[TraceStep]:
+        """One :class:`TraceStep` per logical op.
+
+        With *nodes* (the serial tree) every step reads its node's live
+        actuals, and each selection step names the stored table its
+        estimate came from, for the adaptive-feedback loop.  Without
+        (the parallel trace) the steps wait for the
+        :class:`~repro.exec.Exchange` to fill in the per-worker totals.
+        """
+        contexts = self._plan_contexts
+        steps: List[TraceStep] = []
+        for i, op in enumerate(ops):
+            node = nodes[i] if nodes is not None else None
+            text = self._step_text(op)
+            if op.kind == "rename":
+                steps.append(TraceStep(text))
+            elif op.kind == "project":
+                steps.append(TraceStep(text, node=node, show_est=False))
+            else:
+                table = None
+                if node is not None and op.kind in (
+                    "index-select", "select", "select-var-residual"
+                ):
+                    table = contexts[op.variable].table
+                steps.append(TraceStep(text, est=op.est, node=node, table=table))
+        return steps
+
     def _compile_serial(self) -> Pipeline:
         """The single-process compiler behind :meth:`compile`."""
         ops = self.logical_plan()
         contexts = self._plan_contexts
-        variables = list(self.query.ranges)
         block_size = self.block_size
-        trace: List[TraceStep] = []
-        # One staleness stamp per table the tree will probe *live* (the
+
+        def leaf(variable: str) -> PhysicalOperator:
+            relation = contexts[variable].relation
+            return TableScan(
+                relation.tuples(),
+                label=f"TableScan {relation.name} ({variable})",
+                est=float(len(relation)),
+                block_size=block_size,
+            )
+
+        root, nodes = build_operator_tree(
+            ops,
+            {variable: contexts[variable].mapping for variable in self.query.ranges},
+            self._start, leaf, block_size,
+        )
+        # One staleness stamp per table the tree probes *live* (the
         # inner side of every index-nested-loop join); every other leaf
         # snapshots its rows at execute time and needs no guard.
-        guards: List[StalenessGuard] = []
-        chains: Dict[str, Optional[PhysicalOperator]] = {v: None for v in variables}
-
-        def scan(variable: str) -> PhysicalOperator:
-            node = chains[variable]
-            if node is None:
-                relation = contexts[variable].relation
-                node = TableScan(
-                    relation.tuples(),
-                    label=f"TableScan {relation.name} ({variable})",
-                    est=float(len(relation)),
-                    block_size=block_size,
-                )
-                chains[variable] = node
-            return node
-
-        def transform_for(variable: str):
-            mapping = contexts[variable].mapping
-            return lambda row, _mapping=mapping: row.rename(_mapping)
-
-        combined: Optional[PhysicalOperator] = None
-
-        def combined_node() -> PhysicalOperator:
-            nonlocal combined
-            if combined is None:
-                start = self._start
-                combined = Rename(
-                    scan(start), contexts[start].mapping,
-                    label=f"Rename {start}.*",
-                    est=contexts[start].est, block_size=block_size,
-                )
-            return combined
-
-        for op in ops:
-            text = self._step_text(op)
-            if op.kind == "rename":
-                trace.append(TraceStep(text))
-            elif op.kind == "index-select":
-                node = IndexProbe(
-                    op.index.lookup, op.probe,
-                    label=f"IndexProbe {op.index.name} ({op.variable})",
-                    est=op.est, block_size=block_size,
-                )
-                chains[op.variable] = node
-                trace.append(TraceStep(
-                    text, est=op.est, node=node,
-                    table=contexts[op.variable].table,
-                ))
-            elif op.kind == "select":
-                node = Filter(
-                    scan(op.variable),
-                    algebra.constant_predicate(op.attribute, op.op, op.constant),
-                    label=f"Filter {op.variable}.{op.attribute} {op.op} {op.constant!r}",
-                    est=op.est, block_size=block_size,
-                )
-                chains[op.variable] = node
-                trace.append(TraceStep(
-                    text, est=op.est, node=node,
-                    table=contexts[op.variable].table,
-                ))
-            elif op.kind == "select-var-residual":
-                node = Filter(
-                    scan(op.variable),
-                    _single_variable_predicate(op.conjunct, op.variable),
-                    label=f"Filter {op.conjunct!r} ({op.variable})",
-                    est=op.est, block_size=block_size,
-                )
-                chains[op.variable] = node
-                trace.append(TraceStep(
-                    text, est=op.est, node=node,
-                    table=contexts[op.variable].table,
-                ))
-            elif op.kind == "join":
-                left = combined_node()
-                on = self._join_on_text(op.pairs)
-                residual = (
-                    _pair_predicate(op.residual, op.variable)
-                    if op.residual is not None else None
-                )
-                if op.index is not None:
-                    bare_to_combined = {
-                        new.attribute: self._qualify(old.variable, old.attribute)
-                        for old, new in op.pairs
-                    }
-                    probe_attrs = [bare_to_combined[a] for a in op.index.attributes]
-                    node = IndexNLJoin(
-                        left, op.index.lookup, probe_attrs,
-                        transform_for(op.variable),
-                        residual=residual,
-                        label=f"IndexNLJoin {op.index.name} on {on}",
-                        est=op.est, block_size=block_size,
-                    )
-                    inner_table = contexts[op.variable].table
-                    if inner_table is not None:
-                        guards.append(StalenessGuard(inner_table))
-                else:
-                    build_attrs = [new.attribute for _, new in op.pairs]
-                    probe_attrs = [
-                        self._qualify(old.variable, old.attribute)
-                        for old, _ in op.pairs
-                    ]
-                    node = HashJoin(
-                        left, scan(op.variable), build_attrs, probe_attrs,
-                        transform_for(op.variable),
-                        residual=residual,
-                        label=f"HashJoin on {on}",
-                        est=op.est, block_size=block_size,
-                    )
-                combined = node
-                trace.append(TraceStep(text, est=op.est, node=node))
-            elif op.kind == "product":
-                node = Product(
-                    combined_node(), scan(op.variable),
-                    transform_for(op.variable),
-                    label=f"Product with {op.variable}",
-                    est=op.est, block_size=block_size,
-                )
-                combined = node
-                trace.append(TraceStep(text, est=op.est, node=node))
-            elif op.kind == "residual":
-                node = Filter(
-                    combined_node(),
-                    _residual_predicate(op.conjunct, variables),
-                    label=f"Filter {op.conjunct!r}",
-                    est=op.est, block_size=block_size,
-                )
-                combined = node
-                trace.append(TraceStep(text, est=op.est, node=node))
-            elif op.kind == "project":
-                node = Project(
-                    combined_node(), op.targets,
-                    label=f"Project {[o for o, _ in op.targets]}",
-                    block_size=block_size,
-                )
-                combined = node
-                trace.append(TraceStep(text, node=node, show_est=False))
+        guards = [
+            StalenessGuard(contexts[op.variable].table)
+            for op in ops
+            if op.kind == "join" and op.index is not None
+            and contexts[op.variable].table is not None
+        ]
         pipeline = Pipeline(
-            combined, self.query.output_schema(), trace,
+            root, self.query.output_schema(), self._trace_steps(ops, nodes),
             guards=guards,
             database_epoch=getattr(self.database, "epoch", None),
         )
@@ -1028,11 +839,15 @@ class Plan:
     def _compile_parallel(self, partitions: int, mode: str) -> Pipeline:
         """Compile the logical plan into *partitions* parallel fragments.
 
-        The coordinator resolves every range's rows up front (workers are
-        shared-nothing — they never see a live ``Database`` or index, so
-        an index-selected range ships its probed bucket and a join that
-        would run index-nested-loop serially runs as a hash join over the
-        shipped rows inside the fragments).  The partition scheme:
+        The coordinator resolves every range's rows up front and ships
+        the logical ops with their live indexes stripped
+        (:meth:`_LogicalOp.without_index`): workers are shared-nothing —
+        they never see a live ``Database`` or index — so an
+        index-selected range ships its probed bucket as the range's
+        source, and a join that would run index-nested-loop serially
+        runs as a hash join over the shipped rows.  Each worker builds
+        its tree with the serial compiler's :func:`build_operator_tree`.
+        The partition scheme:
 
         * when the plan's first combining step is an equi-join, both its
           sides are **co-partitioned** on the fused key — start-range
@@ -1058,29 +873,9 @@ class Plan:
         start = self._start
 
         resolved: Dict[str, List[XTuple]] = {}
-        steps: List[Tuple] = []
         for op in ops:
-            if op.kind == "rename":
-                steps.append(("rename", op.variable))
-            elif op.kind == "index-select":
+            if op.kind == "index-select":
                 resolved[op.variable] = list(op.index.lookup(op.probe))
-                steps.append(("source", op.variable))
-            elif op.kind == "select":
-                steps.append((
-                    "select", op.variable, op.attribute, op.op, op.constant,
-                ))
-            elif op.kind == "select-var-residual":
-                steps.append(("select-var", op.variable, op.conjunct))
-            elif op.kind == "join":
-                steps.append(("join", op.variable, tuple(op.pairs), op.residual))
-            elif op.kind == "product":
-                steps.append(("product", op.variable))
-            elif op.kind == "residual":
-                steps.append(("residual", op.conjunct))
-            elif op.kind == "project":
-                steps.append(("project", tuple(op.targets)))
-            else:
-                raise ValueError(f"unknown logical op kind {op.kind!r}")
         for variable in variables:
             if variable not in resolved:
                 resolved[variable] = list(contexts[variable].relation.tuples())
@@ -1126,235 +921,170 @@ class Plan:
         ]
 
         fragment = PlanFragment(
-            steps,
+            tuple(op.without_index() for op in ops),
             {variable: contexts[variable].mapping for variable in variables},
             start,
-            variables,
         )
-        trace: List[TraceStep] = []
-        op_steps: List[TraceStep] = []
-        for op in ops:
-            text = self._step_text(op)
-            if op.kind == "rename":
-                step = TraceStep(text)
-            elif op.kind == "project":
-                step = TraceStep(text, show_est=False)
-            else:
-                step = TraceStep(text, est=op.est)
-            op_steps.append(step)
-            trace.append(step)
+        trace = self._trace_steps(ops)
         exchange = Exchange(
             fragment, partition_sources,
             partitioned_rows=partitioned_rows, mode=mode,
-            trace_steps=op_steps,
+            trace_steps=trace,
             label=f"Exchange [{partitions} partitions, {mode}, {scheme}]",
             block_size=self.block_size,
         )
         merge = Merge(exchange, block_size=self.block_size)
-        trace.append(TraceStep(
-            f"exchange over {partitions} partitions ({scheme}, {mode})",
-            node=exchange, show_est=False,
-        ))
-        trace.append(TraceStep(
-            "merge + reduce the shard frontier", node=merge, show_est=False,
-        ))
+        trace = trace + [
+            TraceStep(
+                f"exchange over {partitions} partitions ({scheme}, {mode})",
+                node=exchange, show_est=False,
+            ),
+            TraceStep(
+                "merge + reduce the shard frontier", node=merge, show_est=False,
+            ),
+        ]
         pipeline = Pipeline(merge, self.query.output_schema(), trace)
         self.pipeline = pipeline
         return pipeline
 
-    # -- the materializing executor (the pre-exec behaviour, step for step) --
-    def _execute_materializing(self) -> XRelation:
-        """Interpret the logical plan eagerly: every step builds a full
-        intermediate ``XRelation``.  The differential baseline for the
-        streaming path — same logical plan, so the two step traces are
-        directly comparable row count for row count."""
-        ops = self.logical_plan()
-        contexts = self._contexts()
-        variables = list(self.query.ranges)
-        trace: List[TraceStep] = []
-        combined: Optional[XRelation] = None
 
-        def combined_relation() -> XRelation:
-            nonlocal combined
-            if combined is None:
-                combined = contexts[self._start].materialized()
-            return combined
+def _join_on_text(pairs: Sequence[Tuple[AttributeRef, AttributeRef]]) -> str:
+    described = [
+        f"{old.variable}.{old.attribute} = {new.variable}.{new.attribute}"
+        for old, new in pairs
+    ]
+    return described[0] if len(described) == 1 else "[" + ", ".join(described) + "]"
 
-        for op in ops:
-            text = self._step_text(op)
-            if op.kind == "rename":
-                trace.append(TraceStep(text))
-            elif op.kind == "index-select":
-                context = contexts[op.variable]
-                context.set_base_rows(op.index.lookup(op.probe))
-                context.est = op.est
-                trace.append(TraceStep(text, est=op.est, fixed_rows=context.cardinality))
-            elif op.kind == "select":
-                context = contexts[op.variable]
-                context.push_constant(op.conjunct)
-                context.est = op.est
-                trace.append(TraceStep(text, est=op.est, fixed_rows=context.cardinality))
-            elif op.kind == "select-var-residual":
-                context = contexts[op.variable]
-                context.push_predicate(op.conjunct)
-                context.est = op.est
-                trace.append(TraceStep(text, est=op.est, fixed_rows=context.cardinality))
-            elif op.kind == "join":
-                combined = self._execute_join(
-                    combined_relation(), contexts[op.variable], op
-                )
-                trace.append(TraceStep(text, est=op.est, fixed_rows=len(combined)))
-            elif op.kind == "product":
-                combined = algebra.product(
-                    combined_relation(), contexts[op.variable].materialized()
-                )
-                trace.append(TraceStep(text, est=op.est, fixed_rows=len(combined)))
-            elif op.kind == "residual":
-                combined = algebra.select_predicate(
-                    combined_relation(), _bind_residual(op.conjunct, variables)
-                )
-                trace.append(TraceStep(text, est=op.est, fixed_rows=len(combined)))
-            elif op.kind == "project":
-                result = self._project(combined_relation(), op.targets)
-                trace.append(TraceStep(text, fixed_rows=len(result)))
-        self.steps = [step.render() for step in trace]
-        return result
 
-    def _execute_join(
-        self, combined: XRelation, context: _RangeContext, op: _LogicalOp
-    ) -> XRelation:
-        variable = context.variable
-        pairs = op.pairs
-        mapping = context.mapping
+def build_operator_tree(
+    ops: Sequence[_LogicalOp],
+    mappings: Dict[str, Dict[str, str]],
+    start: str,
+    leaf: Callable[[str], PhysicalOperator],
+    block_size: int,
+) -> Tuple[PhysicalOperator, List[Optional[PhysicalOperator]]]:
+    """Build the physical operator tree for a logical plan.
 
-        def transform(row: XTuple, _mapping=mapping) -> XTuple:
-            return row.rename(_mapping)
+    The one tree builder: :meth:`Plan.compile` runs it over the stored
+    ranges, and every parallel worker
+    (:func:`repro.exec.exchange.execute_fragment`) runs it over its
+    partition's rows.  *mappings* holds each range's rename mapping in
+    declaration order, *start* names the range the combination begins
+    from, and *leaf(variable)* returns a fresh scan over that range's
+    rows.  An ``index-select`` op with a live index becomes an
+    :class:`IndexProbe`; one without reads the range's leaf, which then
+    serves the coordinator-resolved bucket.  Likewise a join with an
+    index probes it (:class:`IndexNLJoin`), one without hash-joins.
 
-        def wrap(rows) -> XRelation:
-            right_schema = context.relation.schema.rename(mapping, name=variable)
-            schema = combined.schema.union(
-                right_schema, name=f"({combined.name} ⋈ {variable})"
+    Returns the root plus one node per op, ``None`` for the no-op
+    ``rename`` steps (renaming is fused into the joins), so per-step
+    actuals align by index with the logical plan.
+    """
+    variables = list(mappings)
+    chains: Dict[str, PhysicalOperator] = {}
+
+    def scan(variable: str) -> PhysicalOperator:
+        node = chains.get(variable)
+        if node is None:
+            node = chains[variable] = leaf(variable)
+        return node
+
+    def transform_for(variable: str):
+        mapping = mappings[variable]
+        return lambda row, _mapping=mapping: row.rename(_mapping)
+
+    combined: Optional[PhysicalOperator] = None
+
+    def combined_node() -> PhysicalOperator:
+        nonlocal combined
+        if combined is None:
+            source = scan(start)
+            combined = Rename(
+                source, mappings[start], label=f"Rename {start}.*",
+                est=source.est, block_size=block_size,
             )
-            relation = Relation(schema, validate=False)
-            relation._rows = set(rows)
-            return XRelation(relation)
+        return combined
 
-        residual = (
-            _pair_predicate(op.residual, variable)
-            if op.residual is not None else None
-        )
-        if op.index is not None:
-            # Index-nested-loop join: probe the table's live index with the
-            # combined side's key values; the range is never renamed or
-            # bucketed wholesale — only matched rows are renamed, once each.
-            bare_to_combined = {
-                new.attribute: self._qualify(old.variable, old.attribute)
-                for old, new in pairs
-            }
-            probe_attrs = [bare_to_combined[a] for a in op.index.attributes]
-            return wrap(index_probe_join_rows(
-                combined.rows(), probe_attrs, op.index.lookup, transform, residual
-            ))
-
-        # Late-rename hash join: bucket the (possibly filtered) unrenamed
-        # rows on the bare key, probe with the combined side's qualified
-        # values, and rename only the matched rows — the bulk of a big
-        # range is never copied.
-        buckets = build_join_buckets(
-            context.unrenamed_rows(), [new.attribute for _, new in pairs]
-        )
-        probe_attrs = [self._qualify(old.variable, old.attribute) for old, _ in pairs]
-        empty: Tuple[XTuple, ...] = ()
-        return wrap(index_probe_join_rows(
-            combined.rows(), probe_attrs,
-            lambda key: buckets.get(key, empty), transform, residual,
-        ))
-
-    def _project(
-        self, combined: XRelation, qualified_targets: Sequence[Tuple[str, str]]
-    ) -> XRelation:
-        """Projection onto the target list with output renaming (shared by
-        the materializing and the syntactic executor)."""
-        unique = list(dict.fromkeys(qualified for _, qualified in qualified_targets))
-        if len(unique) == len(qualified_targets):
-            projected = algebra.project(combined, unique)
-            renaming = {qualified: output for output, qualified in qualified_targets}
-            return algebra.rename(projected, renaming)
-        # The same column appears under several (distinct) output names,
-        # e.g. ``(a = e.NAME, b = e.NAME)``: project/rename cannot express
-        # a column duplication, so build the output rows directly.
-        out = Relation(self.query.output_schema(), validate=False)
-        out._rows = {
-            XTuple(
-                (output, row[qualified])
-                for output, qualified in qualified_targets
-            )
-            for row in combined.rows()
-        }
-        return XRelation(out)
-
-    # -- the pre-statistics planner, kept as the differential baseline -------
-    def _execute_syntactic(self) -> XRelation:
-        """The PR 2 planner, verbatim: syntactic join order, constant
-        pushdown only, residual qualification applied after all joins, no
-        index reuse.  The benchmarks measure the optimizer against it and
-        the differential tests run both against the oracle."""
-        query = self.query
-        trace: List[TraceStep] = []
-
-        pushable, residual = _split_conjuncts(query.where)
-
-        renamed: Dict[str, XRelation] = {}
-        for variable, relation in query.ranges.items():
-            mapping = {a: self._qualify(variable, a) for a in relation.schema.attributes}
-            renamed[variable] = algebra.rename(relation, mapping)
-            trace.append(TraceStep(f"rename {relation.name} as {variable}(…)"))
-
-        for variable, conjuncts in pushable.items():
-            for conjunct in conjuncts:
-                renamed[variable] = _apply_selection(renamed[variable], variable, conjunct)
-                trace.append(TraceStep(f"select {conjunct!r} on {variable}"))
-
-        equijoins, residual = _extract_equijoins(residual)
-        variables = list(query.ranges)
-        combined = renamed[variables[0]]
-        included = {variables[0]}
-        for variable in variables[1:]:
-            links = _pick_equijoins(equijoins, included, variable)
-            if links:
-                pairs = _orient_links(links, included)
-                for link in links:
-                    equijoins.remove(link)
-                combined_attrs = [
-                    self._qualify(old.variable, old.attribute) for old, _ in pairs
-                ]
-                range_attrs = [
-                    self._qualify(new.variable, new.attribute) for _, new in pairs
-                ]
-                combined = _hash_join(
-                    combined, renamed[variable], combined_attrs, range_attrs
+    nodes: List[Optional[PhysicalOperator]] = []
+    for op in ops:
+        node: Optional[PhysicalOperator] = None
+        if op.kind == "index-select":
+            if op.index is not None:
+                node = IndexProbe(
+                    op.index.lookup, op.probe,
+                    label=f"IndexProbe {op.index.name} ({op.variable})",
+                    est=op.est, block_size=block_size,
                 )
-                trace.append(TraceStep(
-                    f"hash equi-join with {variable} on {self._join_on_text(pairs)}"
-                ))
+                chains[op.variable] = node
             else:
-                combined = algebra.product(combined, renamed[variable])
-                trace.append(TraceStep(f"product with {variable}"))
-            included.add(variable)
-
-        # Equalities the join order could not use stay in the residual.
-        residual = _conjoin(equijoins + ([residual] if residual is not None else []))
-
-        if residual is not None:
-            predicate = _bind_residual(residual, variables)
-            combined = algebra.select_predicate(combined, predicate)
-            trace.append(TraceStep(f"select residual {residual!r}"))
-
-        qualified_targets = self._qualified_targets()
-        result = self._project(combined, qualified_targets)
-        trace.append(TraceStep(f"project onto {[o for o, _ in qualified_targets]}"))
-        self.steps = [step.render() for step in trace]
-        return result
+                node = scan(op.variable)
+        elif op.kind == "select":
+            node = chains[op.variable] = Filter(
+                scan(op.variable),
+                algebra.constant_predicate(op.attribute, op.op, op.constant),
+                label=f"Filter {op.variable}.{op.attribute} {op.op} {op.constant!r}",
+                est=op.est, block_size=block_size,
+            )
+        elif op.kind == "select-var-residual":
+            node = chains[op.variable] = Filter(
+                scan(op.variable),
+                _single_variable_predicate(op.conjunct, op.variable),
+                label=f"Filter {op.conjunct!r} ({op.variable})",
+                est=op.est, block_size=block_size,
+            )
+        elif op.kind == "join":
+            on = _join_on_text(op.pairs)
+            residual = (
+                _pair_predicate(op.residual, op.variable)
+                if op.residual is not None else None
+            )
+            if op.index is not None:
+                bare_to_combined = {
+                    new.attribute: f"{old.variable}.{old.attribute}"
+                    for old, new in op.pairs
+                }
+                node = IndexNLJoin(
+                    combined_node(), op.index.lookup,
+                    [bare_to_combined[a] for a in op.index.attributes],
+                    transform_for(op.variable),
+                    residual=residual,
+                    label=f"IndexNLJoin {op.index.name} on {on}",
+                    est=op.est, block_size=block_size,
+                )
+            else:
+                node = HashJoin(
+                    combined_node(), scan(op.variable),
+                    [new.attribute for _, new in op.pairs],
+                    [f"{old.variable}.{old.attribute}" for old, _ in op.pairs],
+                    transform_for(op.variable),
+                    residual=residual,
+                    label=f"HashJoin on {on}",
+                    est=op.est, block_size=block_size,
+                )
+        elif op.kind == "product":
+            node = Product(
+                combined_node(), scan(op.variable), transform_for(op.variable),
+                label=f"Product with {op.variable}",
+                est=op.est, block_size=block_size,
+            )
+        elif op.kind == "residual":
+            node = Filter(
+                combined_node(), _residual_predicate(op.conjunct, variables),
+                label=f"Filter {op.conjunct!r}",
+                est=op.est, block_size=block_size,
+            )
+        elif op.kind == "project":
+            node = Project(
+                combined_node(), op.targets,
+                label=f"Project {[o for o, _ in op.targets]}",
+                block_size=block_size,
+            )
+        elif op.kind != "rename":
+            raise ValueError(f"unknown logical op kind {op.kind!r}")
+        if op.kind in ("join", "product", "residual", "project"):
+            combined = node
+        nodes.append(node)
+    return combined_node(), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -1555,26 +1285,6 @@ def _split_conjuncts(predicate: Predicate) -> Tuple[Dict[str, List[Comparison]],
     return pushable, And(*residual)
 
 
-def _extract_equijoins(predicate: Optional[Predicate]) -> Tuple[List[Comparison], Optional[Predicate]]:
-    """Split equality conjuncts between two distinct variables from the rest.
-
-    Only top-level conjuncts of the shape ``t.A = m.B`` (both sides
-    attribute references, different range variables) are join candidates;
-    everything else stays in the residual.
-    """
-    if predicate is None:
-        return [], None
-    conjuncts: List[Predicate] = list(predicate.operands) if isinstance(predicate, And) else [predicate]
-    joins: List[Comparison] = []
-    rest: List[Predicate] = []
-    for conjunct in conjuncts:
-        if _is_equijoin(conjunct):
-            joins.append(conjunct)
-        else:
-            rest.append(conjunct)
-    return joins, _conjoin(rest)
-
-
 def _conjoin(predicates: List[Predicate]) -> Optional[Predicate]:
     """Fold a list of conjuncts back into a predicate (None when empty)."""
     if not predicates:
@@ -1623,39 +1333,6 @@ def _pick_equijoins(joins: List[Comparison], included: Set[str], variable: str) 
         if variable in mentioned and (mentioned - {variable}) <= included:
             picked.append(conjunct)
     return picked
-
-
-def _hash_join(
-    left: XRelation,
-    right: XRelation,
-    left_attrs: Sequence[str],
-    right_attrs: Sequence[str],
-) -> XRelation:
-    """Composite-key hash equi-join of two renamed (disjoint-schema) ranges.
-
-    Delegates to the engine kernel
-    :func:`repro.core.engine.joins.equi_join_rows`; rows null on any
-    compared attribute contribute nothing, exactly as the TRUE-only
-    discipline demands.
-    """
-    from ..core.engine.joins import equi_join_rows
-
-    schema = left.schema.union(right.schema, name=f"({left.name} ⋈ {right.name})")
-    rows = equi_join_rows(left.rows(), right.rows(), left_attrs, right_attrs)
-    relation = Relation(schema, validate=False)
-    relation._rows = set(rows)
-    return XRelation(relation)
-
-
-def _apply_selection(relation: XRelation, variable: str, conjunct: Comparison) -> XRelation:
-    """Apply a pushable single-variable comparison to a renamed range."""
-    if isinstance(conjunct.left, AttributeRef):
-        attribute = f"{conjunct.left.variable}.{conjunct.left.attribute}"
-        constant = conjunct.right.literal  # type: ignore[union-attr]
-        return algebra.select_constant(relation, attribute, conjunct.op, constant)
-    attribute = f"{conjunct.right.variable}.{conjunct.right.attribute}"  # type: ignore[union-attr]
-    constant = conjunct.left.literal  # type: ignore[union-attr]
-    return algebra.select_constant(relation, attribute, _FLIPPED_OPS[conjunct.op], constant)
 
 
 def _bind_residual(predicate: Predicate, variables: Sequence[str]):

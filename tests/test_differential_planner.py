@@ -147,7 +147,7 @@ def test_null_tuple_ranges_contribute_nothing_in_both_evaluations():
     information-free — Definition 4.6 drops it from every minimal form,
     so neither the tuple-at-a-time oracle nor any plan may let it bind.
     Before ``Query.bindings()`` skipped it, the oracle was
-    representation-sensitive and diverged from every planner mode here."""
+    representation-sensitive and diverged from the planner here."""
     v0 = Relation(ATTRIBUTES, name="R1", validate=False)
     v0.add(XTuple({"A": 1}))
     v1 = Relation(ATTRIBUTES, name="R2", validate=False)
@@ -157,26 +157,12 @@ def test_null_tuple_ranges_contribute_nothing_in_both_evaluations():
     )
     oracle = evaluate_lower_bound(query)
     assert len(oracle) == 0
-    assert Plan(query, cost_based=True).execute() == oracle
-    assert Plan(query, cost_based=False).execute() == oracle
+    assert Plan(query).execute() == oracle
     # A real row alongside the null tuple contributes exactly itself.
     v1.add(XTuple({"B": 2}))
     oracle = evaluate_lower_bound(query)
     assert len(oracle) == 1
-    assert Plan(query, cost_based=True).execute() == oracle
-    assert Plan(query, cost_based=False).execute() == oracle
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(queries())
-def test_cost_ordered_and_syntactic_plans_agree_with_oracle(query):
-    """The cost-based optimizer (greedy join reorder + selection
-    push-through) and the pre-statistics syntactic planner both stay
-    information-wise equal to the oracle — reordering joins and applying
-    residual conjuncts early are strategy changes only."""
-    oracle = evaluate_lower_bound(query)
-    assert Plan(query, cost_based=True).execute() == oracle
-    assert Plan(query, cost_based=False).execute() == oracle
+    assert Plan(query).execute() == oracle
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -278,21 +264,19 @@ def test_index_backed_plans_agree_with_oracle(database, text):
     assert indexed.answer == tuple_answer
     query = indexed.analyzed.query
     assert Plan(query, database, use_indexes=False).execute() == tuple_answer
-    assert Plan(query, database, cost_based=False).execute() == tuple_answer
 
 
 # ---------------------------------------------------------------------------
-# Streaming executor ≡ materializing executor ≡ tuple oracle
+# Streaming operator tree ≡ tuple oracle
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(indexed_databases(), quel_texts(), st.booleans(), st.sampled_from((2, 7, 256)))
-def test_streaming_matches_materializing_and_oracle(database, text, analyzed, block_size):
-    """The streaming operator-tree executor and the materializing
-    executor interpret the *same* logical plan; both must stay
-    information-wise identical to the tuple oracle over random schemas,
-    persistent indexes, ANALYZE states and block sizes (tiny blocks force
-    every operator across block boundaries)."""
+def test_streaming_matches_oracle(database, text, analyzed, block_size):
+    """The streaming operator-tree executor stays information-wise
+    identical to the tuple oracle over random schemas, persistent
+    indexes, ANALYZE states and block sizes (tiny blocks force every
+    operator across block boundaries)."""
     if analyzed:
         database.analyze()
     try:
@@ -300,17 +284,14 @@ def test_streaming_matches_materializing_and_oracle(database, text, analyzed, bl
     except QuelSemanticError:
         assume(False)
     query = compile_text(text, database)
-    streaming = Plan(query, database, block_size=block_size)
-    materializing = Plan(query, database, streaming=False)
-    assert streaming.execute() == tuple_answer
-    assert materializing.execute() == tuple_answer
+    assert Plan(query, database, block_size=block_size).execute() == tuple_answer
 
 
 @st.composite
 def total_databases(draw) -> Database:
-    """Indexed databases whose rows carry no nulls: there the streaming
-    and materializing executors must agree not only information-wise but
-    *count for count*, per operator."""
+    """Indexed databases whose rows carry no nulls: there no intermediate
+    carries dominated rows, so every plan step's measured row count is
+    pinned to the oracle *count for count*."""
     database = Database("fuzz-total")
     values = st.integers(min_value=0, max_value=3)
     for name in ("R1", "R2"):
@@ -331,7 +312,7 @@ def compile_text(text, database):
 
 
 # ---------------------------------------------------------------------------
-# Parallel partitioned execution ≡ serial streaming ≡ materializing ≡ oracle
+# Parallel partitioned execution ≡ serial streaming ≡ oracle
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -345,8 +326,7 @@ def test_parallel_matches_serial_and_oracle(database, text, partitions, block_si
     """Partitioned Exchange/Merge execution is a pure strategy change:
     over random schemas, indexes, partition counts 1–4 and block sizes,
     the parallel pipeline must stay information-wise identical to the
-    serial streaming tree, the materializing executor and the tuple
-    oracle.  Fragments run in inline mode — byte-identical worker code,
+    serial streaming tree and the tuple oracle.  Fragments run in inline mode — byte-identical worker code,
     minus the process shipping the dedicated process-mode tests cover —
     so the fuzz loop stays fast."""
     try:
@@ -355,42 +335,31 @@ def test_parallel_matches_serial_and_oracle(database, text, partitions, block_si
         assume(False)
     query = compile_text(text, database)
     serial = Plan(query, database, block_size=block_size).execute()
-    materializing = Plan(query, database, streaming=False).execute()
     parallel = Plan(
         query, database, block_size=block_size,
         parallelism=partitions, parallel_mode="inline",
     ).execute()
     assert serial == tuple_answer
-    assert materializing == tuple_answer
     assert parallel == tuple_answer
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(total_databases(), quel_texts())
-def test_streaming_step_counts_match_materializing_on_total_rows(database, text):
-    """On null-free data no intermediate carries dominated rows, so the
-    per-step actual row counts of the streaming pipeline must equal the
-    materializing executor's — the rendered traces agree line for line,
-    which is exactly what makes ``explain(analyze=True)`` a trustworthy
-    audit of the cost annotations."""
+def test_streaming_step_counts_match_oracle_on_total_rows(
+    assert_steps_match_oracle, database, text
+):
+    """On null-free data no intermediate carries dominated rows, so each
+    step's measured row count must equal the oracle's answer size for
+    that step's prefix of the plan — which is exactly what makes
+    ``explain(analyze=True)`` a trustworthy audit of the cost
+    annotations."""
     try:
         query = compile_text(text, database)
     except QuelSemanticError:
         assume(False)
-    streaming = Plan(query, database)
-    materializing = Plan(query, database, streaming=False)
-    assert streaming.execute() == materializing.execute()
-    assert len(streaming.steps) == len(materializing.steps)
-    for streamed, materialized in zip(streaming.steps, materializing.steps):
-        if streamed.endswith("rows=?]"):
-            # The streaming executor proved this operator unnecessary (an
-            # empty join side short-circuits the whole probe subtree);
-            # the materializing path ran it eagerly.  Text and estimate
-            # must still agree — only the measurement is absent.
-            prefix = streamed[: streamed.rindex("rows=")]
-            assert materialized.startswith(prefix)
-        else:
-            assert streamed == materialized
+    plan = Plan(query, database)
+    assert plan.execute() == evaluate_lower_bound(query)
+    assert_steps_match_oracle(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.exec import (
     partition_rows_by_key,
 )
 from repro.quel import compile_query
-from repro.quel.planner import Plan
+from repro.quel.planner import Plan, _LogicalOp
 from repro.stats import suggest_parallelism
 from repro.storage import Database
 
@@ -169,10 +169,12 @@ class TestExchangeEdgeCases:
         # Hand-built partitions, one row each — no hashing involved.
         rows = [XTuple({"A": i, "B": i % 2}) for i in range(5)]
         fragment = PlanFragment(
-            steps=(("rename", "v"), ("project", (("A", "v.A"), ("B", "v.B")))),
+            ops=(
+                _LogicalOp("rename", variable="v"),
+                _LogicalOp("project", targets=(("A", "v.A"), ("B", "v.B"))),
+            ),
             mappings={"v": {"A": "v.A", "B": "v.B"}},
             start="v",
-            variables=("v",),
         )
         exchange = Exchange(
             fragment, [{"v": [row]} for row in rows], mode="inline"
@@ -265,14 +267,16 @@ class ExplodingPredicate:
 def _exploding_pipeline(mode: str) -> Pipeline:
     rows = [XTuple({"A": i}) for i in range(8)]
     fragment = PlanFragment(
-        steps=(
-            ("rename", "v"),
-            ("select-var", "v", ExplodingPredicate()),
-            ("project", (("A", "v.A"),)),
+        ops=(
+            _LogicalOp("rename", variable="v"),
+            _LogicalOp(
+                "select-var-residual", variable="v",
+                conjunct=ExplodingPredicate(),
+            ),
+            _LogicalOp("project", targets=(("A", "v.A"),)),
         ),
         mappings={"v": {"A": "v.A"}},
         start="v",
-        variables=("v",),
     )
     exchange = Exchange(
         fragment, [{"v": rows[:4]}, {"v": rows[4:]}], mode=mode

@@ -194,18 +194,6 @@ class TestCostOptimizerTraces:
         assert "product" not in result.plan.explain()
         assert result.answer == run_query(self.CHAIN_QUERY, chain_db, strategy="tuple").answer
 
-    def test_syntactic_baseline_keeps_declaration_order(self, chain_db):
-        """cost_based=False reproduces the previous planner's trace."""
-        analyzed = run_query(self.CHAIN_QUERY, chain_db, strategy="algebra").analyzed
-        plan = Plan(analyzed.query, chain_db, cost_based=False)
-        answer = plan.execute()
-        joins = join_steps(plan)
-        assert len(joins) == 2
-        assert "with b2" in joins[0] and "b1.A = b2.A" in joins[0]
-        assert "with s" in joins[1]
-        assert "est=" not in plan.explain()
-        assert answer == run_query(self.CHAIN_QUERY, chain_db, strategy="tuple").answer
-
     def test_steps_carry_estimates_and_actuals(self, chain_db):
         plan = run_query(self.CHAIN_QUERY, chain_db, strategy="algebra").plan
         for step in plan.steps:

@@ -97,6 +97,23 @@ class TestDmlGrammar:
             again = parse(str(statement))
             assert normalize_statement(again) == normalize_statement(statement)
 
+    def test_negative_literals_round_trip_through_normalization(self):
+        statement = parse(
+            'range of t is EMP replace t (SAL = -0.5) where t.E# > -5'
+        )
+        normalized = normalize_statement(statement)
+        assert normalized[-2] == (("set", "SAL", ("lit", "float", -0.5)),)
+        assert normalized[-1] == (
+            "cmp", ("col", "t", "E#"), ">", ("lit", "int", -5)
+        )
+        again = parse(str(statement))
+        assert normalize_statement(again) == normalized
+        spaced = parse(
+            'range of t is EMP  -- say\n replace t (SAL = -0.5)\n'
+            ' where t.E# > -5'
+        )
+        assert normalize_statement(spaced) == normalized
+
     def test_normalization_ignores_whitespace_and_comments(self):
         a = parse('range of e is EMP delete e where e.E# = 1')
         b = parse('range of e is EMP  -- say\n delete e\n where e.E# = 1')

@@ -47,6 +47,38 @@ class TestBasics:
         assert tokenize("retrieve")[-1].type is TokenType.END
 
 
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("text, expected", [
+        ("-1", [-1]),
+        ("-0.5", [-0.5]),
+        ("-.5", [-0.5]),
+        ("-0", [0]),
+        ("(A = -1, B = 2)", ["(", "A", "=", -1, ",", "B", "=", 2, ")"]),
+    ])
+    def test_minus_before_a_digit_is_a_negative_literal(self, text, expected):
+        assert values(text) == expected
+
+    def test_negative_literal_types(self):
+        tokens = tokenize("-7 -7.25")
+        assert tokens[0].type is TokenType.NUMBER
+        assert tokens[0].value == -7 and isinstance(tokens[0].value, int)
+        assert tokens[1].value == -7.25 and isinstance(tokens[1].value, float)
+
+    def test_negative_literal_in_a_comparison(self):
+        assert kinds("t.A > -5")[3:5] == [TokenType.GREATER, TokenType.NUMBER]
+        assert values("t.A > -5")[-1] == -5
+
+    def test_double_dash_is_still_a_comment(self):
+        assert values("1 --2") == [1]
+        assert values("1 -- -2\n3") == [1, 3]
+
+    def test_detached_minus_rejected(self):
+        with pytest.raises(QuelLexError):
+            tokenize("A = - 1")
+        with pytest.raises(QuelLexError):
+            tokenize("A = -x")
+
+
 class TestOperators:
     @pytest.mark.parametrize(
         "text,expected",

@@ -97,6 +97,17 @@ class TestStatements:
         # B was never bound: the wire shows JSON null for NI.
         assert rows == [{"t_A": 9100, "t_B": None}]
 
+    def test_negative_literals_cross_the_wire(self, client):
+        client.execute("append to T (A = -1, B = -0.5)")
+        expected = [{"t_A": -1, "t_B": -0.5}]
+        assert client.rows(
+            "range of t is T retrieve (t.A, t.B) where t.A > -5 and t.A < 0"
+        ) == expected
+        # The same value bound as a JSON parameter finds the same row.
+        assert client.rows(
+            "range of t is T retrieve (t.A, t.B) where t.A = $a", {"a": -1}
+        ) == expected
+
     def test_retrieve_into_is_a_write(self, client):
         result = client.execute(
             "range of t is T retrieve into COPY (t.A, t.B) where t.B = 0"
