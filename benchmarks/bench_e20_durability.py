@@ -17,7 +17,15 @@ what recovery buys:
 * **recovery replay** — ``Database.open`` on a crash-copy of the
   directory (log only, no final checkpoint): read + checksum + replay of
   the whole logical log.  Every recovery measurement first asserts the
-  recovered rows, index specs and statistics equal the live oracle's.
+  recovered rows, index specs and statistics equal the live oracle's;
+* **rollback vs size** — the begin + rollback time of a one-row
+  transaction (the append between them is not timed) on an indexed,
+  unkeyed table of growing size, in memory and durable
+  (``sync="commit"``), with the log bytes each rollback appends.
+  Rollback replays the group's undo log, so its cost follows what the
+  group wrote, not what the table holds: the full sweep asserts the
+  time at the largest size is at most 3× the time at the smallest, and
+  every sweep asserts a rollback appends under 2 KB of log.
 
 Run styles:
 
@@ -49,6 +57,14 @@ DOMAIN_SIZE = 64
 MAX_SYNC_NONE_OVERHEAD = 0.30
 FULL_COMMIT_THREADS = (8, 50)   # (threads, commits per thread)
 QUICK_COMMIT_THREADS = (4, 15)
+FULL_ROLLBACK_SIZES = (1_000, 10_000, 50_000)
+QUICK_ROLLBACK_SIZES = (1_000, 5_000)
+ROLLBACK_REPEATS = 30
+#: Rollback time at the largest size over the smallest (full sweep).
+MAX_ROLLBACK_GROWTH = 3.0
+#: Log bytes one one-row rollback may append (begin + append + its
+#: compensating remove + abort).
+MAX_ROLLBACK_WAL_BYTES = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +318,84 @@ def run_group_commit(shape=FULL_COMMIT_THREADS, metric=None, line=None,
 
 
 # ---------------------------------------------------------------------------
+# Rollback cost against table size
+# ---------------------------------------------------------------------------
+
+def run_rollback_vs_size(sizes=FULL_ROLLBACK_SIZES, metric=None, line=None,
+                         enforce=False):
+    """Median begin + rollback time of a one-row transaction, per table
+    size, in memory and durable; durable runs also record the log bytes
+    per rollback, and the table must be unchanged afterwards."""
+    from repro.api.session import connect
+
+    root = tempfile.mkdtemp(prefix="bench-e20-rb-")
+    try:
+        seconds_by_variant = {}
+        for size in sizes:
+            rows = keyed_rows(size, seed=size)
+            for variant in ("memory", "durable"):
+                # The txn_write shape: K indexed, no key constraint.  A
+                # KEYED append checks its key against every stored row,
+                # and that O(n) pass (off the clock) would leave the
+                # caches cold for the timed rollback after it.
+                database = (
+                    Database.open(os.path.join(root, f"{variant}-{size}"))
+                    if variant == "durable" else Database("e20")
+                )
+                table = database.create_table("ACCT", ["K", "A", "B"])
+                table.create_index(["K"])
+                database.insert_many("ACCT", rows)
+                before = frozenset(table.rows())
+                session = connect(database)
+                append = session.prepare("append to ACCT (K = $k, A = 1, B = 1)")
+                wal = database.wal
+                start_bytes = wal.position() if wal is not None else 0
+                samples = []
+                for repeat in range(ROLLBACK_REPEATS):
+                    # The append is the statement's cost, not the
+                    # transaction's: it stays off the clock.
+                    start = time.perf_counter()
+                    txn = session.transaction().begin()
+                    begun = time.perf_counter()
+                    append.execute({"k": size + repeat})
+                    appended = time.perf_counter()
+                    txn.rollback()
+                    samples.append(begun - start + time.perf_counter() - appended)
+                wal_bytes = (
+                    (wal.position() - start_bytes) / ROLLBACK_REPEATS
+                    if wal is not None else 0.0
+                )
+                assert frozenset(table.rows()) == before, (variant, size)
+                if wal is not None:
+                    wal.close()
+                samples.sort()
+                median = samples[len(samples) // 2]
+                seconds_by_variant.setdefault(variant, []).append(median)
+                if metric is not None:
+                    metric("rollback_vs_size", median, variant=variant,
+                           rows=size, wal_bytes=round(wal_bytes, 1))
+                if line is not None:
+                    line(
+                        f"n={size} [{variant}]: one-row transaction begin+rollback "
+                        f"{median * 1000:.3f}ms median of {ROLLBACK_REPEATS}"
+                        + (f", {wal_bytes:.0f} WAL bytes" if wal is not None else "")
+                    )
+                assert wal_bytes < MAX_ROLLBACK_WAL_BYTES, (
+                    f"a one-row rollback appended {wal_bytes:.0f} log bytes "
+                    f"at n={size}"
+                )
+        if enforce:
+            for variant, medians in seconds_by_variant.items():
+                growth = medians[-1] / medians[0]
+                assert growth <= MAX_ROLLBACK_GROWTH, (
+                    f"[{variant}] rollback at n={sizes[-1]} is {growth:.1f}x "
+                    f"its time at n={sizes[0]} (budget {MAX_ROLLBACK_GROWTH}x)"
+                )
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+
+# ---------------------------------------------------------------------------
 # pytest entry point (quick smoke + recovery verification)
 # ---------------------------------------------------------------------------
 
@@ -319,6 +413,14 @@ def test_group_commit_quick(record):
     never overlap on a fast fsync)."""
     run_group_commit(
         shape=QUICK_COMMIT_THREADS, metric=record.metric, line=record.line
+    )
+
+
+def test_rollback_vs_size_quick(record):
+    """Quick rollback sweep: the log-bytes bound holds at every size; the
+    flat-cost ratio is only enforced on the full sweep."""
+    run_rollback_vs_size(
+        sizes=QUICK_ROLLBACK_SIZES, metric=record.metric, line=record.line
     )
 
 
@@ -343,6 +445,12 @@ def main(argv: List[str]) -> int:
     )
     run_group_commit(
         shape=QUICK_COMMIT_THREADS if quick else FULL_COMMIT_THREADS,
+        metric=recorder.metric,
+        line=recorder.line,
+        enforce=not quick,
+    )
+    run_rollback_vs_size(
+        sizes=QUICK_ROLLBACK_SIZES if quick else FULL_ROLLBACK_SIZES,
         metric=recorder.metric,
         line=recorder.line,
         enforce=not quick,
@@ -373,6 +481,13 @@ def main(argv: List[str]) -> int:
             f"{'group_commit':<16} {entry['variant']:<11} {entry['rows']:>6} "
             f"{entry['seconds']:>10.4f} "
             f"{entry['fsync_per_commit']:>6.2f}fs/c"
+        )
+    for entry in metrics:
+        if entry["op"] != "rollback_vs_size":
+            continue
+        print(
+            f"{'rollback':<16} {entry['variant']:<11} {entry['rows']:>6} "
+            f"{entry['seconds']:>10.5f} {entry['wal_bytes']:>7.0f}B"
         )
     print(f"\nwrote {results_path}")
     return 0

@@ -20,7 +20,8 @@ whose compiled plan lives in a session LRU keyed by the statement's
 epoch — re-executing skips lexing, parsing, analysis and planning
 entirely, and any DDL, index change or ANALYZE transparently re-plans on
 the next execution.  :meth:`Session.transaction` gives all-or-nothing
-multi-statement groups (snapshot-based undo); outside a transaction each
+multi-statement groups (rolled back through the storage layer's undo
+log, at the cost of what the group wrote); outside a transaction each
 statement autocommits.
 """
 
@@ -157,21 +158,24 @@ class PreparedStatement:
 class Transaction:
     """An all-or-nothing group of statements (a context manager).
 
-    Entering takes a snapshot of every table's rows, index definitions
-    and the foreign-key list; leaving normally commits (discards the
-    snapshot), leaving through an exception — or calling
-    :meth:`rollback` — restores the snapshot wholesale through the bulk
-    rebuild path, drops any table created inside the group and removes
-    any foreign key added inside it.  Tables *dropped* inside the group
-    cannot be recreated from the row snapshot and make the rollback fail
-    loudly rather than silently diverge.
+    Entering opens a group on the database's undo log
+    (:mod:`repro.storage.undo`) — a mark, no copy of any row.  While the
+    group is open every mutation of the database, whether it comes from
+    a session statement or a direct ``Database``/``Table`` call, records
+    its exact inverse: the rows an insertion added, the (4.8) closure a
+    deletion removed, the previous row set of a load or truncate, the
+    statistics an ANALYZE replaced, and the inverse of every DDL change
+    (a dropped table is held, with its rows, indexes, statistics,
+    constraints and foreign keys, until the group ends).  Leaving
+    normally commits; leaving through an exception — or calling
+    :meth:`rollback` — applies the group's inverses newest first, so a
+    rollback costs what the group wrote, not what the database holds.
+    Groups nest: an inner rollback undoes only the inner group's changes.
     """
 
     def __init__(self, session: "Session"):
         self.session = session
-        self._snapshot: Optional[Mapping[str, Any]] = None
-        self._tables: Tuple[str, ...] = ()
-        self._foreign_keys: Optional[list] = None
+        self._undo_mark = None
         self._active = False
 
     @property
@@ -185,13 +189,15 @@ class Transaction:
         if self._active:
             raise StorageError("transaction already entered")
         self.session._check_open()
-        database = self.session.database
-        self._snapshot = database.snapshot()
-        self._tables = tuple(database.catalog.table_names())
-        self._foreign_keys = database.catalog.foreign_key_entries()
+        catalog = self.session.database.catalog
+        self._undo_mark = catalog.undo.begin(catalog.tables())
         self._active = True
         self.session._transactions.append(self)
-        self._mark("begin")
+        try:
+            self._mark("begin")
+        except BaseException:
+            self._close()
+            raise
         return self
 
     def __enter__(self) -> "Transaction":
@@ -227,24 +233,24 @@ class Transaction:
             self._close()
 
     def _rollback(self) -> None:
-        """Restore the snapshot, then *always* log the abort marker.
+        """Apply the group's inverses, then *always* log the abort marker.
 
-        The marker must land even when the rollback itself raises (a
-        table dropped inside the group, a created table wedged by a
-        surviving foreign key): it follows whatever compensating records
-        :meth:`_restore` did manage to log, closing the group so the
-        log's transaction depth returns to zero — otherwise every later
-        autocommitted statement would be buffered inside the permanently
-        open group (and discarded at recovery) and every checkpoint would
-        silently skip, a total durability loss after one failed rollback.
+        The marker must land even when an inverse raises: it follows
+        whatever compensating records the rollback did manage to log,
+        closing the group so the log's transaction depth returns to zero
+        — otherwise every later autocommitted statement would be
+        buffered inside the permanently open group (and discarded at
+        recovery) and every checkpoint would silently skip, a total
+        durability loss after one failed rollback.
         """
         try:
-            self._restore()
+            self.session.database.catalog.undo.rollback(self._undo_mark)
         finally:
             self._mark("abort")
 
     def _close(self) -> None:
         self._active = False
+        self.session.database.catalog.undo.release(self._undo_mark)
         if self in self.session._transactions:
             self.session._transactions.remove(self)
 
@@ -252,8 +258,8 @@ class Transaction:
         """Write a transaction marker to the write-ahead log, if one is
         attached.  Replay discards a group whose close marker never made
         it to disk; an ``abort`` marker lands *after* the rollback's
-        compensating restore records, so an aborted group replays to the
-        same (pre-group) state it left in memory.  Under ``sync="commit"``
+        compensating records, so an aborted group replays to the same
+        (pre-group) state it left in memory.  Under ``sync="commit"``
         the close markers are the fsync points — the group's records ride
         one flush."""
         self.session._txn_metric.labels(
@@ -262,25 +268,6 @@ class Transaction:
         wal = getattr(self.session.database, "wal", None)
         if wal is not None:
             wal.append({"op": op})
-
-    def _restore(self) -> None:
-        database = self.session.database
-        missing = [
-            name for name in self._tables if not database.catalog.has_table(name)
-        ]
-        if missing:
-            raise StorageError(
-                f"cannot roll back: table(s) {missing} were dropped inside "
-                f"the transaction (schema undo beyond creation is not supported)"
-            )
-        # Foreign keys revert to the entry snapshot first — additions made
-        # inside the group go away with it, which also unblocks
-        # Database.restore's drop of any table created inside the group
-        # (a group-added key referencing a created table would otherwise
-        # wedge the drop).  Renames re-enter under the new owner name,
-        # which the restore filter tolerates.
-        database.catalog.restore_foreign_keys(self._foreign_keys)
-        database.restore(self._snapshot)
 
 
 class Session:

@@ -6,7 +6,7 @@ applies the batch through the storage layer's *atomic* bulk entry points
 — :meth:`Database.insert_many` for APPEND, :meth:`Database.delete_many`
 for DELETE (with the (4.8) subsumption closure and FK restrict), and the
 deletion-followed-by-addition discipline with post-state FK re-check and
-wholesale rollback for REPLACE.  Sinks are blocking by nature: atomicity
+exact undo on failure for REPLACE.  Sinks are blocking by nature: atomicity
 demands the complete batch before anything is applied, so they are the
 one place a DML pipeline legitimately materialises.
 
@@ -124,14 +124,14 @@ class DeleteSink(Sink):
 
 
 class ReplaceSink(Sink):
-    """REPLACE: deletion followed by addition, with wholesale rollback.
+    """REPLACE: deletion followed by addition, undone exactly on failure.
 
     *row_builder* maps each matched row to its replacement.  The batch
     delegates to :meth:`Database.update_many` — bulk (4.8) delete of the
     matched rows, atomic checked bulk insert of the replacements, both
     foreign-key directions re-checked against the *post* state (the new
     rows may legitimately re-satisfy keys the deletion removed), and any
-    failure restores the table's pre-statement rows — so the modification
+    failure undoes the statement through its delta — so the modification
     discipline of Section 7 lives in exactly one place.
     """
 

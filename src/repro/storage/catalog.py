@@ -9,6 +9,7 @@ from ..core.errors import StorageError
 from ..core.relation import RelationSchema
 from ..constraints.referential import ForeignKeyConstraint
 from .table import Table, TableConstraint
+from .undo import UndoLog
 from .wal import picklable_constraints, warn_dropped_constraints
 
 
@@ -31,6 +32,9 @@ class Catalog:
         # Write-ahead log shared with every registered table, wired by
         # :meth:`Database.attach_wal` (None without durability).
         self._wal = None
+        #: The undo log shared with every registered table: transactions
+        #: open groups on it and roll back through it.
+        self.undo = UndoLog()
 
     # -- write-ahead logging -------------------------------------------------------
     def _wal_lock(self):
@@ -41,6 +45,11 @@ class Catalog:
         wal = self._wal
         if wal is not None and not wal.replaying:
             wal.append(record)
+
+    def _record_undo(self, inverse, *args) -> None:
+        undo = self.undo
+        if undo.recording:
+            undo.record(inverse, *args)
 
     def _create_record(self, table: Table) -> dict:
         """The ``create_table`` log record for *table*.  Unpicklable
@@ -85,36 +94,56 @@ class Catalog:
         table = Table(schema, constraints, name=name)
         with self._wal_lock():
             self._log(self._create_record(table))
-            table._wal = self._wal
-            self._tables[name] = table
-            self._ddl_epoch += 1
+            self._attach(table)
+            self._record_undo(self.drop_table, name)
         return table
 
     def register_table(self, table: Table) -> Table:
         if table.name in self._tables:
             raise StorageError(f"table {table.name!r} already exists")
         with self._wal_lock():
-            # Logged as a create plus a load: replay rebuilds the table
-            # from its schema and current rows (pre-registration history
-            # is unknowable here).
-            self._log(self._create_record(table))
-            if table.rows():
-                self._log({
-                    "op": "load",
-                    "table": table.name,
-                    "rows": list(table.rows()),
-                })
-            for index_name, attributes in table.index_specs().items():
-                self._log({
-                    "op": "create_index",
-                    "table": table.name,
-                    "name": index_name,
-                    "attributes": attributes,
-                })
-            table._wal = self._wal
-            self._tables[table.name] = table
-            self._ddl_epoch += 1
+            self._log_existing(table)
+            self._attach(table)
+            self._record_undo(self.drop_table, table.name)
         return table
+
+    def _log_existing(self, table: Table) -> None:
+        """Log a populated table as a create plus a load (statistics
+        included) plus its index definitions: replay rebuilds it from its
+        schema and current rows (the table's earlier history is not in
+        this log)."""
+        self._log(self._create_record(table))
+        if table.rows():
+            self._log({
+                "op": "load",
+                "table": table.name,
+                "rows": list(table.rows()),
+                "statistics": table.statistics,
+            })
+        for index_name, attributes in table.index_specs().items():
+            self._log({
+                "op": "create_index",
+                "table": table.name,
+                "name": index_name,
+                "attributes": attributes,
+            })
+
+    def _attach(self, table: Table) -> None:
+        table._wal = self._wal
+        table._undo = self.undo
+        self._tables[table.name] = table
+        self._ddl_epoch += 1
+
+    def _reattach(self, table: Table, foreign_keys: list) -> None:
+        """Put a table dropped inside a rolled-back group back — the same
+        object, so its rows, indexes, statistics and constraints return
+        as they were — together with the foreign-key list the drop
+        replaced."""
+        with self._wal_lock():
+            self._log_existing(table)
+            self._attach(table)
+            self._log({"op": "restore_foreign_keys", "entries": foreign_keys})
+            self._foreign_keys = foreign_keys
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
@@ -131,6 +160,8 @@ class Catalog:
             self._log({"op": "drop_table", "name": name})
             dropped = self._tables.pop(name)
             dropped._wal = None
+            dropped._undo = None
+            self._record_undo(self._reattach, dropped, self._foreign_keys)
             self._foreign_keys = [(owner, fk) for owner, fk in self._foreign_keys if owner != name]
             # Fold the dropped table's epoch in so the catalog-wide sum stays
             # monotone (a cache keyed on it must never see a value reused).
@@ -143,6 +174,7 @@ class Catalog:
             raise StorageError(f"table {new!r} already exists")
         with self._wal_lock():
             self._log({"op": "rename_table", "old": old, "new": new})
+            self._record_undo(self.rename_table, new, old)
             table = self._tables.pop(old)
             table.relation.schema.name = new
             self._tables[new] = table
@@ -212,15 +244,15 @@ class Catalog:
             constraint.check(owner_table.relation, referenced_table.relation)
         with self._wal_lock():
             self._log({"op": "add_foreign_key", "owner": owner, "constraint": constraint})
+            self._record_undo(self.restore_foreign_keys, list(self._foreign_keys))
             self._foreign_keys.append((owner, constraint))
             self._ddl_epoch += 1
 
     def foreign_key_entries(self) -> List[Tuple[str, ForeignKeyConstraint]]:
         """A copy of every ``(owner, constraint)`` entry.
 
-        The snapshot surface transactions use: pair with
-        :meth:`restore_foreign_keys` to roll the foreign-key set back to
-        a saved state.
+        What checkpoints persist: pair with :meth:`restore_foreign_keys`
+        to put the foreign-key set back to a saved state.
         """
         return list(self._foreign_keys)
 
@@ -237,6 +269,7 @@ class Catalog:
         ]
         with self._wal_lock():
             self._log({"op": "restore_foreign_keys", "entries": kept})
+            self._record_undo(self.restore_foreign_keys, self._foreign_keys)
             self._foreign_keys = kept
             self._ddl_epoch += 1
 

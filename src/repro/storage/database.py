@@ -4,8 +4,9 @@
 benchmarks hold on to.  It behaves as a mapping from relation name to
 :class:`~repro.core.relation.Relation` (so it plugs straight into
 :func:`repro.quel.run_query`), enforces foreign keys on inserts and
-deletes, and exposes snapshot/restore so benchmarks can rerun workloads
-from a fixed state.
+deletes, and exposes snapshot/restore so benchmarks and tests can rerun
+workloads from a fixed state.  (Transactions do not use snapshots: they
+roll back through the catalog's undo log, :mod:`repro.storage.undo`.)
 """
 
 from __future__ import annotations
@@ -314,21 +315,29 @@ class Database(Mapping[str, Relation]):
         the atomic checked bulk insert), then every foreign key touching
         the table — owned *and* referencing — is re-checked against the
         **post** state, since the new rows may legitimately re-satisfy
-        keys the deletion removed.  Any violation restores the table's
-        pre-statement rows wholesale — notably, replacing a referenced
-        key out from under its referrers raises instead of silently
-        orphaning them (the restrict :meth:`delete_many` applies).
+        keys the deletion removed.  Any violation undoes the statement
+        through its exact delta (an undo-log group around it: the rows
+        it added come out, the closure it removed goes back) — notably,
+        replacing a referenced key out from under its referrers raises
+        instead of silently orphaning them (the restrict
+        :meth:`delete_many` applies).
         """
         table = self.catalog.table(table_name)
         olds = table.relation._coerce_rows([old for old, _ in pairs])
         news = table.relation._coerce_rows([new for _, new in pairs])
-        saved = set(table.rows())
-        inserted = table.update_many(list(zip(olds, news)), _coerced=True)
+        staged = list(zip(olds, news))
+        if not (self.catalog.foreign_keys_of(table_name)
+                or self.catalog.foreign_keys_referencing(table_name)):
+            return table.update_many(staged, _coerced=True)
+        undo = self.catalog.undo
+        mark = undo.begin(())
         try:
+            inserted = table.update_many(staged, _coerced=True)
             self._check_update_foreign_keys(table, olds, inserted)
         except Exception:
-            table.reset_rows(saved)
+            undo.rollback(mark)
             raise
+        undo.release(mark)
         return inserted
 
     def _check_update_foreign_keys(self, table, olds, inserted) -> None:

@@ -80,6 +80,10 @@ class Table:
         # lock across append + apply so a background checkpoint can never
         # truncate a record whose state change has not landed yet.
         self._wal = None
+        # Undo log, wired by the owning catalog (None for a free-standing
+        # table).  While a group is open every mutation funnel records
+        # its exact inverse there (see :mod:`repro.storage.undo`).
+        self._undo = None
 
     # -- write-ahead logging ------------------------------------------------------
     def _wal_lock(self):
@@ -98,6 +102,11 @@ class Table:
             record = {"op": op, "table": self.name}
             record.update(fields)
             wal.append(record)
+
+    def _recording(self):
+        """The catalog's undo log when a group is open, else None."""
+        undo = self._undo
+        return undo if undo is not None and undo.recording else None
 
     # -- convenience accessors ----------------------------------------------------
     @property
@@ -134,6 +143,9 @@ class Table:
             if check is not None:
                 check(self.relation)
         self.constraints.append(constraint)
+        undo = self._recording()
+        if undo is not None:
+            undo.record(self.constraints.pop)
 
     def _check_insert(self, row: XTuple, relation: Optional[Relation] = None) -> None:
         """Run every constraint's per-row insert guard against *relation*
@@ -166,6 +178,15 @@ class Table:
             check_bulk(relation, candidates)
         return True
 
+    def _constraints_read_rows(self) -> bool:
+        """Whether some constraint checks inserts against the stored rows
+        (and so needs a staged relation to check against)."""
+        return any(
+            getattr(c, "check_bulk_insert", None) is not None
+            or getattr(c, "check_insert", None) is not None
+            for c in self.constraints
+        )
+
     def validate(self) -> None:
         """Re-check every constraint against the whole table."""
         for constraint in self.constraints:
@@ -184,7 +205,20 @@ class Table:
             index.rebuild(self.relation.tuples())
             self.indexes[index.name] = index
             self.ddl_epoch += 1
+            undo = self._recording()
+            if undo is not None:
+                undo.record(self.drop_index, index.name)
         return index
+
+    def _attach_index(self, index: HashIndex) -> None:
+        """Re-attach a dropped index object (the inverse of
+        :meth:`drop_index`).  Rollback applies it to the same row set the
+        index was dropped from, so its buckets are still exact; the log
+        gets a ``create_index`` record, which replay rebuilds."""
+        with self._wal_lock():
+            self._log("create_index", name=index.name, attributes=index.attributes)
+            self.indexes[index.name] = index
+            self.ddl_epoch += 1
 
     def drop_index(self, name_or_attributes: Union[str, Sequence[str]]) -> None:
         """Drop an index by name, or by the attribute *set* it covers.
@@ -208,8 +242,11 @@ class Table:
             doomed_name = index.name
         with self._wal_lock():
             self._log("drop_index", name=doomed_name)
-            del self.indexes[doomed_name]
+            dropped = self.indexes.pop(doomed_name)
             self.ddl_epoch += 1
+            undo = self._recording()
+            if undo is not None:
+                undo.record(self._attach_index, dropped)
 
     def find_index(self, attributes: Sequence[str]) -> Optional[HashIndex]:
         """The index covering exactly this attribute *set*, if any.
@@ -282,13 +319,8 @@ class Table:
         self._check_insert(candidate)
         with self._wal_lock():
             self._log("insert", rows=[candidate])
-            is_new = candidate not in self.relation.tuples()
-            self.relation.add(candidate)
-            self.dominance.add(candidate)
-            for index in self.indexes.values():
-                index.insert(candidate)
-            if is_new:
-                self.statistics.add_row(candidate)
+            if candidate not in self.relation.tuples():
+                self._apply_bulk_add([candidate])
         return candidate
 
     def insert_many(self, rows: Iterable[RowLike], *, _coerced: bool = False) -> List[XTuple]:
@@ -343,6 +375,11 @@ class Table:
     def _apply_bulk_add(self, fresh: Sequence[XTuple]) -> None:
         """Add already-checked genuinely-new rows, one bulk update per
         structure — the inverse of :meth:`_apply_bulk_remove`."""
+        undo = self._recording()
+        if undo is not None and fresh:
+            undo.record(
+                self._undo_add, fresh, self.statistics.mutations_since_analyze
+            )
         self.relation.tuples().update(fresh)
         self.relation._version += 1
         self.dominance.bulk_add(fresh)
@@ -394,16 +431,13 @@ class Table:
         self.reset_rows(candidates)
         return candidates
 
-    def _remove_row(self, row: XTuple) -> None:
-        """Remove one stored row from the relation and every index."""
-        self.relation.discard(row)
-        self.dominance.discard(row)
-        for index in self.indexes.values():
-            index.remove(row)
-        self.statistics.remove_row(row)
-
-    def _apply_bulk_remove(self, doomed: set) -> None:
+    def _apply_bulk_remove(self, doomed: Iterable[XTuple]) -> None:
         """Drop a set of *stored* rows with one bulk update per structure."""
+        undo = self._recording()
+        if undo is not None and doomed:
+            undo.record(
+                self._undo_remove, doomed, self.statistics.mutations_since_analyze
+            )
         self.relation.tuples().difference_update(doomed)
         self.relation._version += 1
         self.dominance.bulk_discard(doomed)
@@ -426,9 +460,8 @@ class Table:
         if not doomed:
             return 0
         with self._wal_lock():
-            self._log("remove", rows=list(doomed))
-            for victim in doomed:
-                self._remove_row(victim)
+            self._log("remove", rows=doomed)
+            self._apply_bulk_remove(doomed)
         return len(doomed)
 
     def delete_where(self, predicate: Callable[[XTuple], bool]) -> int:
@@ -489,8 +522,12 @@ class Table:
         if not staged:
             return []
         doomed = self.dominance.bulk_probe_dominated(olds)
-        survivors = stored - doomed
-        fresh = self._stage_bulk_insert(survivors, news)
+        if self._constraints_read_rows():
+            fresh = self._stage_bulk_insert(stored - doomed, news)
+        else:
+            # Nothing reads the post-delete state, so it is never built:
+            # a new row is fresh unless it survives the deletion.
+            fresh = [c for c in dict.fromkeys(news) if c not in stored or c in doomed]
         with self._wal_lock():
             self._log("update", removed=list(doomed), rows=fresh)
             if doomed:
@@ -501,7 +538,16 @@ class Table:
     def truncate(self) -> None:
         with self._wal_lock():
             self._log("truncate")
-            self.relation.clear()
+            undo = self._recording()
+            if undo is not None:
+                undo.record(
+                    self._install_rows, self.relation.tuples(), self.statistics.copy()
+                )
+            # A fresh set, not clear(): the previous row-set object is
+            # what a rollback re-installs.
+            self.relation._rows = set()
+            self.relation._version += 1
+            self.relation._dominance = None
             self.dominance.clear()
             for index in self.indexes.values():
                 index.clear()
@@ -528,22 +574,34 @@ class Table:
         round-trip exactly; otherwise they are re-derived from the rows.
         Logged as one logical ``load`` record (statistics included, so
         crash-recovery replay restores the same estimates and staleness
-        the live path does), which is also how the compensating restores
-        of a rolled-back transaction reach the log.
+        the live path does).
         """
-        fresh = set(rows)
+        self._install_rows(set(rows), statistics)
+
+    def _install_rows(
+        self, rows: set, statistics: Optional[TableStatistics] = None
+    ) -> None:
+        """Adopt the row-set object *rows* as the stored set and rebuild
+        every structure over it — :meth:`reset_rows` without the copy,
+        and the inverse of ``load`` / ``reset_rows`` / :meth:`truncate`,
+        which re-installs the previous set object with its statistics."""
         with self._wal_lock():
-            self._log("load", rows=list(fresh), statistics=statistics)
-            self.relation._rows = fresh
+            self._log("load", rows=list(rows), statistics=statistics)
+            undo = self._recording()
+            if undo is not None:
+                undo.record(
+                    self._install_rows, self.relation.tuples(), self.statistics.copy()
+                )
+            self.relation._rows = rows
             self.relation._version += 1
             self.relation._dominance = None
-            self.dominance.rebuild(fresh)
+            self.dominance.rebuild(rows)
             for index in self.indexes.values():
-                index.rebuild(fresh)
+                index.rebuild(rows)
             if statistics is not None:
                 self.statistics.restore_from(statistics)
             else:
-                self.statistics.analyze(fresh)
+                self.statistics.analyze(rows)
 
     # -- statistics --------------------------------------------------------------------------
     def analyze(self) -> TableStatistics:
@@ -556,8 +614,38 @@ class Table:
         """
         with self._wal_lock():
             self._log("analyze")
+            undo = self._recording()
+            if undo is not None:
+                undo.record(self._install_statistics, self.statistics.copy())
             self.ddl_epoch += 1
             return self.statistics.analyze(self.relation.tuples())
+
+    def _install_statistics(self, statistics: TableStatistics) -> None:
+        """Restore saved statistics (the inverse of :meth:`analyze`),
+        logged as a ``statistics`` record so replay restores them too.
+        Bumps the physical-design epoch, as ANALYZE does: plans built on
+        the replaced estimates re-plan."""
+        with self._wal_lock():
+            self._log("statistics", statistics=statistics)
+            self.statistics.restore_from(statistics)
+            self.ddl_epoch += 1
+
+    # -- inverses (applied by UndoLog.rollback, newest first) ---------------------
+    def _undo_add(self, fresh: Sequence[XTuple], mutations: int) -> None:
+        """Remove exactly the rows a bulk add inserted, and put the
+        staleness tracker back where it was before the add."""
+        with self._wal_lock():
+            self._log("remove", rows=fresh, mutations=mutations)
+            self._apply_bulk_remove(fresh)
+            self.statistics.mutations_since_analyze = mutations
+
+    def _undo_remove(self, doomed: Iterable[XTuple], mutations: int) -> None:
+        """Re-add exactly the rows a bulk remove took out."""
+        restored = list(doomed)
+        with self._wal_lock():
+            self._log("insert", rows=restored, mutations=mutations)
+            self._apply_bulk_add(restored)
+            self.statistics.mutations_since_analyze = mutations
 
     # -- x-membership ------------------------------------------------------------------------
     def x_contains(self, row: RowLike) -> bool:

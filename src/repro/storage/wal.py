@@ -4,7 +4,8 @@ Everything in the engine so far lives and dies in process memory.  This
 module adds the durability layer underneath the atomic bulk-mutation
 funnel: every bulk entry point (``insert_many`` / ``delete_many`` /
 ``update_many`` / ``load`` / ``truncate`` / ``reset_rows`` and all DDL —
-create/drop/rename table, create/drop index, foreign keys, ANALYZE)
+create/drop/rename table, create/drop index, foreign keys, ANALYZE and
+its rollback)
 appends one **logical, replayable record** to the log *before* applying
 its state change, and :meth:`Session.transaction` brackets statement
 groups with begin/commit/abort markers.
@@ -28,9 +29,14 @@ Design notes
 * **Transactions.**  Replay applies autocommitted records immediately and
   buffers records between ``begin`` and the matching ``commit``/``abort``;
   a log that *ends* inside an open transaction has that suffix discarded,
-  so recovery is all-or-nothing per statement group.  (Aborted groups are
-  replayed in full: the rollback's compensating ``load`` records are part
-  of the group, so the replay converges to the same state.)
+  so recovery is all-or-nothing per statement group.  Aborted groups are
+  replayed in full: a rollback applies the inverse of each change the
+  group made (:mod:`repro.storage.undo`) through the same logged entry
+  points, so the group ends with small compensating ``insert`` /
+  ``remove`` records (carrying the staleness counter they restore) —
+  plus ``load`` / ``statistics`` / DDL records only where the group
+  truncated, loaded, analyzed or changed the schema — and the replay
+  converges to the same pre-group state.
 
 * **Checkpoints.**  :meth:`WriteAheadLog.checkpoint` serialises the
   :meth:`Database.snapshot` surface — rows, index definitions *and* table
@@ -248,12 +254,14 @@ def apply_record(database, record: Dict[str, Any]) -> None:
         fresh = [r for r in dict.fromkeys(record["rows"]) if r not in stored]
         if fresh:
             table._apply_bulk_add(fresh)
+        _restore_mutations(table, record)
     elif op == "remove":
         table = catalog.table(record["table"])
         stored = table.relation.tuples()
         doomed = {r for r in record["rows"] if r in stored}
         if doomed:
             table._apply_bulk_remove(doomed)
+        _restore_mutations(table, record)
     elif op == "update":
         table = catalog.table(record["table"])
         stored = table.relation.tuples()
@@ -271,6 +279,8 @@ def apply_record(database, record: Dict[str, Any]) -> None:
         catalog.table(record["table"]).truncate()
     elif op == "analyze":
         catalog.table(record["table"]).analyze()
+    elif op == "statistics":
+        catalog.table(record["table"])._install_statistics(record["statistics"])
     elif op == "create_table":
         warn_dropped_constraints(
             record.get("dropped_constraints"), record["name"], registry_for(database)
@@ -294,6 +304,14 @@ def apply_record(database, record: Dict[str, Any]) -> None:
         catalog.restore_foreign_keys(record["entries"])
     else:
         raise WalError(f"unknown WAL record kind {op!r}")
+
+
+def _restore_mutations(table, record: Dict[str, Any]) -> None:
+    """A rollback's compensating ``insert``/``remove`` record carries the
+    staleness counter the inverse put back; replay puts it back too."""
+    mutations = record.get("mutations")
+    if mutations is not None:
+        table.statistics.mutations_since_analyze = mutations
 
 
 # ---------------------------------------------------------------------------

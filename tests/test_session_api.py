@@ -20,7 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core.errors import QuelSemanticError, StaleResultError, StorageError
+from repro.core.errors import (
+    ConstraintViolation,
+    QuelSemanticError,
+    StaleResultError,
+    StorageError,
+)
 from repro.core.tuples import XTuple
 from repro.quel import run_query
 from repro.storage import Database
@@ -376,12 +381,35 @@ class TestTransactions:
         assert XTuple({"E#": 77}) in db["REF"].tuples()
         db.insert("REF", (99,))  # would violate the FK had it survived
 
-    def test_drop_table_inside_transaction_fails_rollback_loudly(self, session, db):
-        db.create_table("SCRATCH", ["A"])
-        with pytest.raises(StorageError):
+    def test_drop_table_inside_transaction_rolls_back_exactly(self, session, db):
+        from repro.constraints.keys import KeyConstraint
+        from repro.constraints.referential import ForeignKeyConstraint
+
+        scratch = db.create_table("SCRATCH", ["A", "E#"], [KeyConstraint(["A"])])
+        scratch.insert_many([(1, 1), (2, None), (3, 2)])
+        scratch.create_index(["E#"], name="scratch_e")
+        db.add_foreign_key("SCRATCH", ForeignKeyConstraint(["E#"], "EMP", ["E#"]))
+        scratch.analyze()
+        scratch.insert_many([(4, 1)])  # churn since ANALYZE
+        before = db.snapshot()
+        staleness = scratch.statistics.mutations_since_analyze
+        foreign_keys = db.catalog.foreign_key_entries()
+        with pytest.raises(RuntimeError):
             with session.transaction():
+                scratch.delete((4, 1))
                 db.drop_table("SCRATCH")
+                assert "SCRATCH" not in db
                 raise RuntimeError("abort")
+        assert db.table("SCRATCH") is scratch
+        assert db.snapshot() == before
+        assert scratch.statistics.mutations_since_analyze == staleness
+        assert db.catalog.foreign_key_entries() == foreign_keys
+        assert "scratch_e" in scratch.indexes
+        # The re-attached table still enforces its key and foreign key.
+        with pytest.raises(ConstraintViolation):
+            db.insert("SCRATCH", (1, 2))
+        with pytest.raises(ConstraintViolation):
+            db.insert("SCRATCH", (9, 999))
 
     def test_in_transaction_flag(self, session):
         assert not session.in_transaction

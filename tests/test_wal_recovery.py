@@ -38,6 +38,7 @@ from repro.constraints.schema_constraints import RowConstraint
 from repro.core.errors import StorageError, WalError, WalWarning
 from repro.core.tuples import XTuple
 from repro.storage.database import Database
+from repro.storage.table import Table
 from repro.storage.wal import (
     CheckpointWorker,
     WriteAheadLog,
@@ -434,21 +435,26 @@ class TestCheckpointCrashAtomicity:
         with pytest.raises(WalError):
             Database.open(source, name="recovered")
 
-    def test_failed_rollback_still_closes_the_group(self, tmp_path):
-        """When Transaction._restore raises (table dropped inside the
-        group), the abort marker must still land: otherwise the log's
-        transaction depth stays open forever, every later autocommitted
-        statement is buffered into the dead group (discarded at
-        recovery) and every checkpoint silently returns False."""
+    def test_failed_rollback_still_closes_the_group(self, tmp_path, monkeypatch):
+        """When an inverse raises during rollback, the abort marker must
+        still land: otherwise the log's transaction depth stays open
+        forever, every later autocommitted statement is buffered into
+        the dead group (discarded at recovery) and every checkpoint
+        silently returns False."""
         source = str(tmp_path / "db")
         database = Database.open(source)
         session = connect(database)
         database.create_table("T", ["K"])
-        database.create_table("DOOMED", ["X"])
+
+        def failing_inverse(self, *args):
+            raise StorageError("inverse failed")
+
+        monkeypatch.setattr(Table, "_undo_add", failing_inverse)
         with pytest.raises(StorageError):
             with session.transaction():
-                database.drop_table("DOOMED")
+                database.insert("T", {"K": 1})
                 raise RuntimeError("trigger the rollback")
+        monkeypatch.undo()
         assert database.wal.transaction_depth == 0
         assert not session.in_transaction
         # Durability continues: later statements autocommit and survive,
